@@ -4,7 +4,7 @@
 //
 // A command-line front end over `core::AnalysisSession`: pick any set of
 // benchmarks and analysis configurations, get the paper's metric rows for
-// the full matrix. Cells share cached base-program snapshots and fan out
+// the full matrix. Cells decode cached base-program images and fan out
 // across a job pool.
 //
 //   benchmark_cli                      # list benchmarks and analyses
@@ -90,7 +90,6 @@ int usage() {
               "order) — results are\n"
               "                         bit-identical; also via "
               "JACKEE_PLAN\n"
-              "  --no-snapshot-cache    rebuild the base program per cell\n"
               "  --snapshot-save=DIR    serialize the base program of every "
               "collection model\n"
               "                         the requested analyses use (all "
@@ -508,8 +507,6 @@ int main(int Argc, char **Argv) {
         std::printf("error: --plan must be 'textual' or 'greedy'\n\n");
         return usage();
       }
-    } else if (std::strcmp(Argv[I], "--no-snapshot-cache") == 0) {
-      Options.SnapshotCache = false;
     } else if (std::strncmp(Argv[I], "--snapshot-save=", 16) == 0) {
       SnapshotSaveDir = Argv[I] + 16;
     } else if (std::strncmp(Argv[I], "--snapshot-dir=", 15) == 0) {
@@ -666,24 +663,15 @@ int main(int Argc, char **Argv) {
   }
 
   AnalysisSession::CacheStats CS = Session.cacheStats();
-  std::printf("\nmatrix: %zu cells in %.3fs wall (jobs=%u, snapshot cache "
-              "%s)\n",
-              Rows.size(), MatrixSeconds, Session.jobCount(),
-              Options.SnapshotCache ? "on" : "off");
-  if (Options.SnapshotCache) {
-    std::printf("snapshots: %llu built (%.3fs), %llu cache hits, %llu "
-                "clones (%.3fs)\n",
-                static_cast<unsigned long long>(CS.SnapshotBuilds),
-                CS.BuildSeconds,
-                static_cast<unsigned long long>(CS.SnapshotHits),
-                static_cast<unsigned long long>(CS.SnapshotClones),
-                CS.CloneSeconds);
-    if (CS.SnapshotLoads)
-      std::printf("store: %llu mapped (%.3fs, %llu bytes)\n",
-                  static_cast<unsigned long long>(CS.SnapshotLoads),
-                  CS.LoadSeconds,
-                  static_cast<unsigned long long>(CS.StoreBytes));
-  }
+  std::printf("\nmatrix: %zu cells in %.3fs wall (jobs=%u)\n", Rows.size(),
+              MatrixSeconds, Session.jobCount());
+  std::printf("snapshots: %llu built (%.3fs)\n",
+              static_cast<unsigned long long>(CS.SnapshotBuilds),
+              CS.BuildSeconds);
+  if (CS.SnapshotLoads)
+    std::printf("store: %llu mapped (%.3fs, %llu bytes)\n",
+                static_cast<unsigned long long>(CS.SnapshotLoads),
+                CS.LoadSeconds, static_cast<unsigned long long>(CS.StoreBytes));
 
   if (!JsonPath.empty()) {
     if (!writeJson(JsonPath, Rows, CS)) {

@@ -51,7 +51,6 @@ INCREMENTAL_VOLATILE_SUBSTRINGS = (
     "provenance_candidates_seen",
     "provenance_glue_events",
     "db.",                  # tombstoned slots change byte accounting
-    "snapshot_cache_hit",
 )
 
 INCREMENTAL = False

@@ -111,13 +111,9 @@ AnalysisResult jackee::core::runAnalysis(const Application &App,
                                          frameworks::MockPolicyOptions
                                              MockOptions,
                                          const PipelineOptions &Options) {
-  // A single cell gains nothing from building a snapshot only to clone it
-  // once, so the wrapper session runs cache-less — byte-for-byte the old
-  // build-everything-inline pipeline, minus the asserts.
   SessionOptions SO;
   static_cast<EngineOptions &>(SO) = Options;
   SO.Jobs = 1;
-  SO.SnapshotCache = false;
   SO.MockOptions = MockOptions;
   AnalysisSession Session(SO);
   return Session.run(App, Kind);

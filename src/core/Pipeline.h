@@ -154,14 +154,10 @@ struct Metrics {
 
   // Session cost attribution (`AnalysisSession`): where the cell's wall
   // time went before solving. `ElapsedSeconds` above remains solve-only.
-  double SnapshotBuildSeconds = 0; ///< base-library build; 0 on cache hits
-  double SnapshotCloneSeconds = 0; ///< snapshot deep-copy; 0 without cache
+  // Making the base-program images is session set-up, counted in
+  // `AnalysisSession::CacheStats`.
+  double SnapshotCloneSeconds = 0; ///< decoding the base-program image
   double PopulateSeconds = 0;      ///< app classes + finalize + prepare
-  /// True if this cell reused an already-built base-program snapshot. In
-  /// `runMatrix` the flag is deterministic: exactly the first cell (in
-  /// result order) of each collection model builds, regardless of job
-  /// count or scheduling.
-  bool SnapshotCacheHit = false;
 
   // Observability registry samples (name-sorted, see observe/Metrics.h):
   // memory accounting (`db.relation_bytes`, `datalog.staging_bytes`,
@@ -178,8 +174,7 @@ struct Metrics {
   std::shared_ptr<const observe::Profile> ProfileData;
 
   double totalSeconds() const {
-    return SnapshotBuildSeconds + SnapshotCloneSeconds + PopulateSeconds +
-           ElapsedSeconds;
+    return SnapshotCloneSeconds + PopulateSeconds + ElapsedSeconds;
   }
 };
 
@@ -218,8 +213,9 @@ struct EngineOptions {
   /// Deep profiler (observe/Profile.h, DESIGN.md §14): per-rule /
   /// per-relation cost attribution, the points-to set census, and the
   /// structured event sink. False resolves the `JACKEE_PROFILE`
-  /// environment variable ("1"/"true" enables; any other non-empty value
-  /// enables *and* names the JSONL event-sink output path). The analysis
+  /// environment variable ("1"/"true" enables, "0"/"false" does not; any
+  /// other non-empty value enables *and* names the JSONL event-sink output
+  /// path — see support/Env.h). The analysis
   /// results are unchanged either way; disabled-mode overhead is a single
   /// predictable branch per evaluation task (bench/micro_profile.cpp
   /// enforces <= 1%).

@@ -255,13 +255,11 @@ std::string jackee::core::metricsToJson(const Metrics &M, unsigned Indent) {
   field("provenance_candidates_seen",
         std::to_string(M.ProvenanceCandidatesSeen));
   field("provenance_glue_events", std::to_string(M.ProvenanceGlueEvents));
-  field("snapshot_build_seconds", num(M.SnapshotBuildSeconds));
   field("snapshot_clone_seconds", num(M.SnapshotCloneSeconds));
   field("populate_seconds", num(M.PopulateSeconds));
-  field("total_seconds", num(M.totalSeconds()));
   for (const auto &[Name, Value] : M.Observed)
     field("observed." + Name, num(Value));
-  field("snapshot_cache_hit", M.SnapshotCacheHit ? "true" : "false", true);
+  field("total_seconds", num(M.totalSeconds()), true);
   Out << Pad << "}";
   return Out.str();
 }
@@ -284,12 +282,9 @@ jackee::core::cacheStatsToJson(const AnalysisSession::CacheStats &S,
   Out << Pad << "{\n";
   field("snapshot_builds", std::to_string(S.SnapshotBuilds));
   field("snapshot_loads", std::to_string(S.SnapshotLoads));
-  field("snapshot_hits", std::to_string(S.SnapshotHits));
-  field("snapshot_clones", std::to_string(S.SnapshotClones));
   field("snapshot_store_bytes", std::to_string(S.StoreBytes));
   field("snapshot_build_seconds", num(S.BuildSeconds));
-  field("snapshot_load_seconds", num(S.LoadSeconds));
-  field("snapshot_clone_seconds", num(S.CloneSeconds), true);
+  field("snapshot_load_seconds", num(S.LoadSeconds), true);
   Out << Pad << "}";
   return Out.str();
 }

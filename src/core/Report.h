@@ -68,8 +68,8 @@ std::string traceFlameReport(const observe::Tracer &T);
 std::string metricsToJson(const Metrics &M, unsigned Indent = 0);
 
 /// Renders a session's snapshot-cache counters as one JSON object —
-/// builds/loads/hits/clones plus the wall time each path consumed and the
-/// store bytes decoded. Same indentation contract as `metricsToJson`; CLI
+/// image builds/loads plus the wall time each path consumed and the store
+/// bytes validated. Same indentation contract as `metricsToJson`; CLI
 /// drivers embed it in the benchmark `"context"` object.
 std::string cacheStatsToJson(const AnalysisSession::CacheStats &S,
                              unsigned Indent = 0);

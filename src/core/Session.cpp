@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -241,9 +240,7 @@ AnalysisCell::buildProfile(const Metrics &M) {
         return static_cast<uint64_t>(S.Value);
     return 0;
   };
-  P->Phases.push_back({"extract",
-                       M.SnapshotBuildSeconds + M.SnapshotCloneSeconds +
-                           M.PopulateSeconds,
+  P->Phases.push_back({"extract", M.SnapshotCloneSeconds + M.PopulateSeconds,
                        Gauge("process.peak_rss.extract_bytes")});
   P->Phases.push_back({"wiring",
                        FM->stats().EvaluatorSeconds + FM->stats().GlueSeconds,
@@ -643,33 +640,22 @@ AnalysisSession::AnalysisSession(SessionOptions Opts) : Options(Opts) {
   if (SnapshotDir.empty())
     if (const char *Env = env::rawVar("JACKEE_SNAPSHOT_DIR"))
       SnapshotDir = Env;
-  bool TraceEnabled = Options.Trace;
-  if (const char *Env = env::rawVar("JACKEE_TRACE"))
-    if (std::string_view V(Env); !V.empty()) {
-      TraceEnabled = true;
-      if (V != "1" && V != "true")
-        TraceOutPath = V; // a path: dump Chrome JSON there on destruction
-    }
-  if (TraceEnabled)
+  // A JACKEE_TRACE path receives Chrome JSON on destruction.
+  env::Switch TraceEnv = env::switchVar("JACKEE_TRACE");
+  TraceOutPath = TraceEnv.Path;
+  if (Options.Trace || TraceEnv.On)
     Trace = std::make_unique<observe::Tracer>();
 
-  // Deep profiler (DESIGN.md §14): same env-var shape as JACKEE_TRACE —
-  // "1"/"true" just enable it, any other non-empty value also names the
-  // JSONL event-log path.
-  ProfileCells = Options.Profile;
-  std::string ProfileEventPath;
-  if (const char *Env = env::rawVar("JACKEE_PROFILE"))
-    if (std::string_view V(Env); !V.empty()) {
-      ProfileCells = true;
-      if (V != "1" && V != "true")
-        ProfileEventPath = V;
-    }
+  // Deep profiler (DESIGN.md §14); a JACKEE_PROFILE path receives the
+  // JSONL event log.
+  env::Switch ProfileEnv = env::switchVar("JACKEE_PROFILE");
+  ProfileCells = Options.Profile || ProfileEnv.On;
   if (ProfileCells) {
     Events = std::make_unique<observe::EventSink>();
-    if (!ProfileEventPath.empty() && !Events->openFile(ProfileEventPath))
+    if (!ProfileEnv.Path.empty() && !Events->openFile(ProfileEnv.Path))
       std::fprintf(stderr,
                    "warning: cannot open profile event log %s; buffering\n",
-                   ProfileEventPath.c_str());
+                   ProfileEnv.Path.c_str());
     if (Trace)
       Trace->setEventSink(Events.get());
   }
@@ -688,37 +674,30 @@ AnalysisSession::CacheStats AnalysisSession::cacheStats() const {
   return Stats;
 }
 
-const AnalysisSession::Snapshot &
-AnalysisSession::snapshotFor(javalib::CollectionModel Model, bool &WasHit) {
+std::shared_ptr<const AnalysisSession::BaseImage>
+AnalysisSession::imageFor(javalib::CollectionModel Model,
+                          uint32_t ParentSpan) {
   std::lock_guard<std::mutex> Lock(CacheMutex);
-  auto It = Cache.find(Model);
-  if (It != Cache.end()) {
-    WasHit = true;
-    return *It->second;
-  }
-  WasHit = false;
-  auto Snap = std::make_unique<Snapshot>();
+  if (auto It = Cache.find(Model); It != Cache.end())
+    return It->second;
+  auto Image = std::make_shared<BaseImage>();
 
-  // Miss path, in lookup order: the mmap-able AOT store (when configured),
-  // then the builders. Store failures — missing file, truncation, bad
-  // magic, stale version, digest mismatch — warn and fall through; they
-  // must never crash the session or silently change results.
+  // In lookup order: the mmap-able AOT store (when configured), then the
+  // builders. Store failures — missing file, truncation, bad magic, stale
+  // version, digest mismatch — warn and fall through; they must never
+  // crash the session or silently change results.
   if (!SnapshotDir.empty()) {
-    observe::Span LoadSpan(Trace.get(), "snapshot-load", "session");
+    observe::Span LoadSpan(Trace.get(), "snapshot-load", "session",
+                           ParentSpan);
     LoadSpan.arg("model", static_cast<int>(Model));
     auto Start = Clock::now();
-    snapshot::LoadResult Loaded = snapshot::loadFromDir(SnapshotDir, Model);
+    snapshot::LoadResult Loaded =
+        snapshot::loadFromDir(SnapshotDir, Model, &Image->Bytes);
     if (Loaded.ok()) {
-      Snap->Symbols = std::move(Loaded.Data->Symbols);
-      Snap->Base = std::move(Loaded.Data->Base);
-      Snap->Lib = Loaded.Data->Lib;
-      Snap->Frameworks = Loaded.Data->Frameworks;
-      Snap->Facts = std::move(Loaded.Data->Facts);
-      Snap->From = Snapshot::Source::MappedStore;
-      Snap->LoadSeconds = secondsSince(Start);
-      Snap->StoreBytes = Loaded.Bytes;
+      Image->FromStore = true;
+      Image->LoadSeconds = secondsSince(Start);
       ++Stats.SnapshotLoads;
-      Stats.LoadSeconds += Snap->LoadSeconds;
+      Stats.LoadSeconds += Image->LoadSeconds;
       Stats.StoreBytes += Loaded.Bytes;
     } else {
       std::fprintf(stderr,
@@ -727,26 +706,22 @@ AnalysisSession::snapshotFor(javalib::CollectionModel Model, bool &WasHit) {
     }
   }
 
-  if (!Snap->Base) {
-    observe::Span BuildSpan(Trace.get(), "snapshot-build", "session");
+  if (!Image->FromStore) {
+    observe::Span BuildSpan(Trace.get(), "snapshot-build", "session",
+                            ParentSpan);
     BuildSpan.arg("model", static_cast<int>(Model));
     auto Start = Clock::now();
-    snapshot::BaseProgram Built = snapshot::buildBase(Model);
-    Snap->Symbols = std::move(Built.Symbols);
-    Snap->Base = std::move(Built.Base);
-    Snap->Lib = Built.Lib;
-    Snap->Frameworks = Built.Frameworks;
-    Snap->Facts = std::move(Built.Facts);
-    Snap->BuildSeconds = secondsSince(Start);
+    Image->Bytes = snapshot::serialize(snapshot::buildBase(Model), Model);
     ++Stats.SnapshotBuilds;
-    Stats.BuildSeconds += Snap->BuildSeconds;
+    Stats.BuildSeconds += secondsSince(Start);
   }
-  return *Cache.emplace(Model, std::move(Snap)).first->second;
+  if (Options.SnapshotCache)
+    Cache.emplace(Model, Image);
+  return Image;
 }
 
 CellResult AnalysisSession::openCell(const Application &App,
                                      AnalysisKind Kind, bool ForceProvenance,
-                                     std::optional<bool> HitOverride,
                                      uint32_t ParentSpan) {
   std::unique_ptr<AnalysisCell> Cell(new AnalysisCell());
   Cell->AppName = App.Name;
@@ -767,51 +742,34 @@ CellResult AnalysisSession::openCell(const Application &App,
   CellSpan.arg("app", M.App);
   CellSpan.arg("analysis", M.Analysis);
 
-  // Base program: cloned from the snapshot cache, or built fresh. The
-  // snapshot pointer stays valid for the session's lifetime (the cache
-  // never evicts), so the cell's FrameworkManager can bulk-load the
-  // snapshot's base facts at prepare() time.
-  const Snapshot *SnapPtr = nullptr;
-  if (Options.SnapshotCache) {
-    bool Hit = false;
-    const Snapshot &Snap = snapshotFor(collectionModel(Kind), Hit);
-    SnapPtr = &Snap;
-    observe::Span CloneSpan(Trace.get(), "snapshot-clone", "session");
-    auto CloneStart = Clock::now();
-    Cell->Symbols = Snap.Symbols->clone();
-    Cell->Prog = Snap.Base->clone(*Cell->Symbols);
-    M.SnapshotCloneSeconds = secondsSince(CloneStart);
-    CloneSpan.end();
-    Cell->Lib = Snap.Lib;
-    Cell->Fw = Snap.Frameworks;
-    M.SnapshotCacheHit = HitOverride.value_or(Hit);
-    if (!M.SnapshotCacheHit && Snap.From == Snapshot::Source::Builders)
-      M.SnapshotBuildSeconds = Snap.BuildSeconds;
-    // Deterministic per-cell gauges: where this cell's base program came
-    // from, and what the mapped store cost (0s when builder-sourced).
-    // `session.snapshot.load_ns` is wall-clock and therefore volatile
-    // (scripts/diff_metrics.py ignores it); source and bytes are exact.
-    Registry.set("session.snapshot.source",
-                 Snap.From == Snapshot::Source::MappedStore ? 1.0 : 0.0);
-    Registry.set("session.snapshot.load_ns", Snap.LoadSeconds * 1e9);
-    Registry.set("session.snapshot.bytes",
-                 static_cast<double>(Snap.StoreBytes));
-    {
-      std::lock_guard<std::mutex> Lock(CacheMutex);
-      ++Stats.SnapshotClones;
-      Stats.CloneSeconds += M.SnapshotCloneSeconds;
-      if (M.SnapshotCacheHit)
-        ++Stats.SnapshotHits;
-    }
-  } else {
-    observe::Span BuildSpan(Trace.get(), "base-build", "session");
-    auto BuildStart = Clock::now();
-    Cell->Symbols = std::make_unique<SymbolTable>();
-    Cell->Prog = std::make_unique<Program>(*Cell->Symbols);
-    Cell->Lib = javalib::buildJavaLibrary(*Cell->Prog, collectionModel(Kind));
-    Cell->Fw = frameworks::buildFrameworkLibrary(*Cell->Prog, Cell->Lib);
-    M.SnapshotBuildSeconds = secondsSince(BuildStart);
-  }
+  // Base program: decoded from the collection model's image, outside the
+  // cache mutex. The decoded base facts must outlive only `prepare()`,
+  // which bulk-loads them. The span is named `snapshot-clone` because
+  // perfbench's `snapshot.clone_s` layer reads it by that name.
+  javalib::CollectionModel Model = collectionModel(Kind);
+  std::shared_ptr<const BaseImage> Image = imageFor(Model, ParentSpan);
+  observe::Span DecodeSpan(Trace.get(), "snapshot-clone", "session");
+  auto DecodeStart = Clock::now();
+  snapshot::LoadResult Decoded = snapshot::deserialize(Image->Bytes, Model);
+  M.SnapshotCloneSeconds = secondsSince(DecodeStart);
+  DecodeSpan.end();
+  // A store image passed this decoder when it was loaded, and a built one
+  // is `serialize` output, so decoding cannot fail.
+  assert(Decoded.ok() && "session images decode by construction");
+  snapshot::BaseProgram &Base = *Decoded.Data;
+  Cell->Symbols = std::move(Base.Symbols);
+  Cell->Prog = std::move(Base.Base);
+  Cell->Lib = Base.Lib;
+  Cell->Fw = Base.Frameworks;
+  // Deterministic per-cell gauges: where this cell's base program came
+  // from, and what the mapped store cost (0s when builder-sourced).
+  // `session.snapshot.load_ns` is wall-clock and therefore volatile
+  // (scripts/diff_metrics.py ignores it); source and bytes are exact.
+  Registry.set("session.snapshot.source", Image->FromStore ? 1.0 : 0.0);
+  Registry.set("session.snapshot.load_ns", Image->LoadSeconds * 1e9);
+  Registry.set("session.snapshot.bytes",
+               Image->FromStore ? static_cast<double>(Image->Bytes.size())
+                                : 0.0);
   Program &P = *Cell->Prog;
 
   // Application assembly. Every failure that used to be an `assert` is an
@@ -829,8 +787,7 @@ CellResult AnalysisSession::openCell(const Application &App,
   FM.setMetricsRegistry(&Registry);
   if (ProfileCells)
     FM.enableRuleProfiling();
-  if (SnapPtr)
-    FM.setBaseFacts(&SnapPtr->Facts);
+  FM.setBaseFacts(&Base.Facts);
   if (ForceProvenance || RecordProvenance) {
     Cell->Recorder = std::make_unique<provenance::ProvenanceRecorder>(
         *Cell->DB, FM.rules());
@@ -902,12 +859,12 @@ CellResult AnalysisSession::openCell(const Application &App,
 }
 
 CellResult AnalysisSession::open(const Application &App, AnalysisKind Kind) {
-  return openCell(App, Kind, /*ForceProvenance=*/true, std::nullopt);
+  return openCell(App, Kind, /*ForceProvenance=*/true);
 }
 
 AnalysisResult AnalysisSession::run(const Application &App,
                                     AnalysisKind Kind) {
-  CellResult R = openCell(App, Kind, /*ForceProvenance=*/false, std::nullopt);
+  CellResult R = openCell(App, Kind, /*ForceProvenance=*/false);
   if (!R.ok())
     return R.error();
   return std::move(R->Current);
@@ -928,24 +885,6 @@ AnalysisSession::runMatrix(const std::vector<Application> &Apps,
   MatrixSpan.arg("kinds", Kinds.size());
   MatrixSpan.arg("cells", N);
 
-  // Deterministic miss attribution: walk cells in result order and build
-  // the snapshot of each collection model at its first use, sequentially,
-  // before any fan-out. Workers then only ever hit the cache, and the
-  // per-cell hit flags don't depend on scheduling.
-  std::vector<bool> BuildsSnapshot(N, false);
-  if (Options.SnapshotCache) {
-    std::set<javalib::CollectionModel> Seen;
-    for (size_t I = 0; I != N; ++I) {
-      javalib::CollectionModel Model =
-          collectionModel(Kinds[I % Kinds.size()]);
-      if (Seen.insert(Model).second) {
-        BuildsSnapshot[I] = true;
-        bool Hit = false;
-        (void)snapshotFor(Model, Hit);
-      }
-    }
-  }
-
   auto RunOne = [&](uint32_t I) {
     const Application &App = Apps[I / Kinds.size()];
     AnalysisKind Kind = Kinds[I % Kinds.size()];
@@ -956,11 +895,8 @@ AnalysisSession::runMatrix(const std::vector<Application> &Apps,
           .num("cell", static_cast<uint64_t>(I))
           .str("app", App.Name)
           .str("analysis", analysisName(Kind));
-    std::optional<bool> HitOverride;
-    if (Options.SnapshotCache)
-      HitOverride = !BuildsSnapshot[I];
-    CellResult R = openCell(App, Kind, /*ForceProvenance=*/false,
-                            HitOverride, MatrixSpan.id());
+    CellResult R =
+        openCell(App, Kind, /*ForceProvenance=*/false, MatrixSpan.id());
     bool Ok = R.ok();
     if (R.ok())
       Slots[I] = std::move(R->Current);

@@ -14,22 +14,20 @@
 /// model, yet the free-function pipeline rebuilt it from scratch per cell.
 /// A session fixes both inefficiencies:
 ///
-///  - **Snapshot cache.** Base programs are built once per
-///    `javalib::CollectionModel` and kept as immutable snapshots
-///    (`SymbolTable` + unfinalized `ir::Program` + the `JavaLib` /
-///    `FrameworkLib` id bundles). Each analysis cell deep-clones the
-///    snapshot — a handful of vector copies — instead of re-running the
-///    library builders, then populates its application on top.
+///  - **Snapshot cache.** Each `javalib::CollectionModel`'s base program
+///    is kept as one immutable serialized image (snapshot/Snapshot.h):
+///    the mapped AOT store's bytes, or the builders' output serialized
+///    once. Every analysis cell decodes its own `SymbolTable`, unfinalized
+///    `ir::Program`, `JavaLib` / `FrameworkLib` id bundles and base facts
+///    from that image instead of re-running the library builders, then
+///    populates its application on top.
 ///
 ///  - **Batch matrix driver.** `runMatrix(Apps, Kinds)` fans the cells out
 ///    over a `WorkerPool` of `SessionOptions::Jobs` workers (0 resolves
 ///    `JACKEE_JOBS`, then `hardware_concurrency`). Cells are independent
 ///    (own symbol table, program, database, solver), so results are
 ///    returned in deterministic app-major order and are bit-identical to
-///    sequential execution at any job count — including the per-cell
-///    `SnapshotCacheHit` flag, which is attributed to the first cell of
-///    each collection model in result order, not to whichever worker
-///    happened to get there first.
+///    sequential execution at any job count.
 ///
 ///  - **Live cells.** `open(App, Kind)` runs a cell and *keeps it open* as
 ///    an `AnalysisCell`: the symbol table, program, fact database, rule
@@ -76,9 +74,9 @@ struct SessionOptions : EngineOptions {
   /// 1 runs cells inline on the calling thread.
   unsigned Jobs = 0;
 
-  /// Cache and clone base-program snapshots. Disabling rebuilds the base
-  /// program per cell (the pre-session behavior) — kept as an explicit
-  /// mode so equivalence is testable and the cache win is measurable.
+  /// Memoize each collection model's base-program image for the session.
+  /// When false, every cell gets a freshly made image (store or builders),
+  /// decoded by the same path as a memoized one.
   bool SnapshotCache = true;
 
   /// Record derivation provenance in every batch cell (see
@@ -94,8 +92,9 @@ struct SessionOptions : EngineOptions {
   /// cells, populate/solve, bean-wiring rounds, Datalog strata/rounds) in
   /// an `observe::Tracer` reachable via `tracer()`. When false, the
   /// `JACKEE_TRACE` environment variable still enables it: "1"/"true"
-  /// just turn tracing on; any other non-empty value additionally names a
-  /// file the session writes as Chrome trace-event JSON on destruction.
+  /// just turn tracing on, "0"/"false" leave it off; any other non-empty
+  /// value turns it on and names a file the session writes as Chrome
+  /// trace-event JSON on destruction (see support/Env.h).
   /// The timestamp-stripped span structure (`observe::renderStructure`) is
   /// bit-identical at any `Jobs`/`DatalogThreads` setting — see
   /// observe/Trace.h for the contract.
@@ -321,9 +320,8 @@ public:
   /// derivation store). The session must outlive the cell.
   CellResult open(const Application &App, AnalysisKind Kind);
 
-  /// Runs one (application, analysis) cell batch-style, reusing the cached
-  /// snapshot for the cell's collection model when the cache is enabled.
-  /// Thin wrapper over `open` that keeps only the metrics.
+  /// Runs one (application, analysis) cell batch-style. Thin wrapper over
+  /// `open` that keeps only the metrics.
   AnalysisResult run(const Application &App, AnalysisKind Kind);
 
   /// Runs the full \p Apps × \p Kinds matrix across the session's job
@@ -336,20 +334,18 @@ public:
   std::vector<AnalysisResult> runMatrix(const std::vector<Application> &Apps,
                                         const std::vector<AnalysisKind> &Kinds);
 
-  /// Session-lifetime snapshot-cache accounting. A snapshot miss is
-  /// satisfied either by the builders (`SnapshotBuilds`) or — when a store
-  /// directory is configured — by deserializing the mmap'd AOT store
-  /// (`SnapshotLoads`, see src/snapshot/); hits and clones count the same
-  /// way for both sources.
+  /// Session-lifetime image accounting: the set-up cost of base-program
+  /// images. A missing image is made either by the builders
+  /// (`SnapshotBuilds`) or — when a store directory is configured — by
+  /// mapping and validating the AOT store (`SnapshotLoads`, see
+  /// src/snapshot/). The per-cell decode is timed in
+  /// `Metrics::SnapshotCloneSeconds`.
   struct CacheStats {
-    uint64_t SnapshotBuilds = 0; ///< base programs built (one per model)
-    uint64_t SnapshotLoads = 0;  ///< base programs mapped from the store
-    uint64_t SnapshotHits = 0;   ///< cells served from an existing snapshot
-    uint64_t SnapshotClones = 0; ///< deep copies handed to cells
-    uint64_t StoreBytes = 0;     ///< total store bytes mapped and decoded
-    double BuildSeconds = 0;
+    uint64_t SnapshotBuilds = 0; ///< images built (one per model)
+    uint64_t SnapshotLoads = 0;  ///< images mapped from the store
+    uint64_t StoreBytes = 0;     ///< total store bytes mapped and validated
+    double BuildSeconds = 0;     ///< builders + serialization
     double LoadSeconds = 0;
-    double CloneSeconds = 0;
   };
   CacheStats cacheStats() const;
 
@@ -377,42 +373,34 @@ public:
   static unsigned defaultJobCount();
 
 private:
-  /// One immutable base program: everything application-independent,
-  /// including the extracted base relation facts cells bulk-load instead
-  /// of re-extracting (facts/BaseFacts.h).
-  struct Snapshot {
-    enum class Source { Builders, MappedStore };
-
-    std::unique_ptr<SymbolTable> Symbols;
-    std::unique_ptr<ir::Program> Base; ///< unfinalized: cells finalize
-                                       ///< after populating the app
-    javalib::JavaLib Lib;
-    frameworks::FrameworkLib Frameworks;
-    facts::BaseFactSet Facts;
-    Source From = Source::Builders;
-    double BuildSeconds = 0; ///< builder path; 0 when loaded
+  /// One collection model's base program as an immutable serialized image
+  /// (snapshot/Snapshot.h). Everything application-independent, including
+  /// the extracted base relation facts cells bulk-load instead of
+  /// re-extracting (facts/BaseFacts.h).
+  struct BaseImage {
+    std::vector<uint8_t> Bytes;
+    bool FromStore = false;  ///< mapped from the store, else built
     double LoadSeconds = 0;  ///< store path; 0 when built
-    uint64_t StoreBytes = 0; ///< store image size; 0 when built
   };
 
-  /// The snapshot for \p Model, materializing it on first use. \p WasHit
-  /// reports whether it already existed. Lookup order on a miss: the
+  /// The image for \p Model: the session's memoized one, or else a new
+  /// one, memoized when `SnapshotCache` is on. A new image comes from the
   /// mmap-able AOT store (when `SnapshotDir` resolved non-empty; a failed
-  /// load warns on stderr and falls through) → the builders. Thread-safe;
-  /// snapshots are never evicted, so references stay valid for the
-  /// session's lifetime.
-  const Snapshot &snapshotFor(javalib::CollectionModel Model, bool &WasHit);
+  /// load warns on stderr and falls through), else from the builders.
+  /// Its `snapshot-load`/`snapshot-build` span is parented to
+  /// \p ParentSpan (see `openCell`). Thread-safe.
+  std::shared_ptr<const BaseImage> imageFor(javalib::CollectionModel Model,
+                                            uint32_t ParentSpan);
 
   /// Builds and solves one cell end to end; the single code path under
   /// both `open` (keeps the cell) and `run`/`runMatrix` (keep only
   /// metrics). \p ForceProvenance overrides `SessionOptions::Provenance`
-  /// (live cells always record). \p HitOverride, when set, replaces the
-  /// observed cache-hit flag — `runMatrix` uses it to attribute the miss
-  /// to the first cell of each model deterministically. \p ParentSpan
-  /// explicitly parents the cell's span — `runMatrix` passes the matrix
-  /// span so cells running on worker threads still nest under it.
+  /// (live cells always record). \p ParentSpan explicitly parents the
+  /// cell's span — `runMatrix` passes the matrix span so cells running on
+  /// worker threads still nest under it, and so does an image made for
+  /// the cell, whichever cell of its model gets there first.
   CellResult openCell(const Application &App, AnalysisKind Kind,
-                      bool ForceProvenance, std::optional<bool> HitOverride,
+                      bool ForceProvenance,
                       uint32_t ParentSpan = observe::Tracer::NoSpan);
 
   SessionOptions Options;
@@ -429,7 +417,7 @@ private:
   std::string TraceOutPath; ///< from JACKEE_TRACE; written by the dtor
 
   mutable std::mutex CacheMutex;
-  std::map<javalib::CollectionModel, std::unique_ptr<Snapshot>> Cache;
+  std::map<javalib::CollectionModel, std::shared_ptr<const BaseImage>> Cache;
   CacheStats Stats;
 };
 

@@ -120,6 +120,7 @@ std::string FrameworkManager::prepare() {
     }
     observe::Span ExtractSpan(Trace, "extract-program", "frameworks");
     Facts.extractProgramDelta(P, BaseFacts->Watermark);
+    BaseFacts = nullptr; // loaded; the caller may free the set now
   } else {
     observe::Span ExtractSpan(Trace, "extract-program", "frameworks");
     Facts.extractProgram(P);

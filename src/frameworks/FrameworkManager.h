@@ -147,14 +147,15 @@ public:
     return Eval && ProfileRules ? &Eval->ruleProfiles() : nullptr;
   }
 
-  /// Provides pre-extracted base-program facts from a snapshot (the
-  /// session's per-model cache, possibly loaded from the mmap-able store).
-  /// `prepare()` then bulk-loads them and extracts only the entities past
-  /// the snapshot watermark (`extractProgramDelta`) instead of re-walking
-  /// the whole base library. Per-relation tuple order is identical to a
-  /// full extraction (see facts/BaseFacts.h), so results — including
-  /// explain trees — cannot diverge. The set must outlive this manager;
-  /// nullptr (the default) keeps the full-extraction path.
+  /// Provides pre-extracted base-program facts from a snapshot (what a
+  /// session cell decodes from its model's image). `prepare()` then
+  /// bulk-loads them and extracts only the entities past the snapshot
+  /// watermark (`extractProgramDelta`) instead of re-walking the whole
+  /// base library. Per-relation tuple order is identical to a full
+  /// extraction (see facts/BaseFacts.h), so results — including explain
+  /// trees — cannot diverge. Only `prepare()` reads the set, so it must
+  /// outlive that call; nullptr (the default) keeps the full-extraction
+  /// path.
   void setBaseFacts(const facts::BaseFactSet *Facts) {
     assert(!Prepared && "provide base facts before prepare()");
     BaseFacts = Facts;

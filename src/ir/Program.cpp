@@ -387,24 +387,6 @@ void Program::truncateAllocSites(uint32_t Watermark) {
   Sites.resize(Watermark);
 }
 
-std::unique_ptr<Program> Program::clone(SymbolTable &NewSymbols) const {
-  assert(NewSymbols.size() >= Symbols.size() &&
-         "clone target table must cover every symbol of the source");
-  auto Copy = std::make_unique<Program>(NewSymbols);
-  Copy->Types = Types;
-  Copy->Fields = Fields;
-  Copy->Methods = Methods;
-  Copy->Variables = Variables;
-  Copy->Sites = Sites;
-  Copy->Invokes = Invokes;
-  Copy->TypeByName = TypeByName;
-  Copy->Finalized = Finalized;
-  Copy->AncestorBits = AncestorBits;
-  Copy->DispatchTables = DispatchTables;
-  Copy->ConcreteSubtypeLists = ConcreteSubtypeLists;
-  return Copy;
-}
-
 //===----------------------------------------------------------------------===//
 // Program: finalize + queries
 //===----------------------------------------------------------------------===//

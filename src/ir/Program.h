@@ -26,7 +26,6 @@
 #include "support/Id.h"
 #include "support/SymbolTable.h"
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -242,17 +241,6 @@ public:
 
   SymbolTable &symbols() { return Symbols; }
   const SymbolTable &symbols() const { return Symbols; }
-
-  /// Deep-copies the whole program into a fresh `Program` bound to
-  /// \p NewSymbols. \p NewSymbols must contain every symbol of this
-  /// program's table at the same id (typically a `SymbolTable::clone()`),
-  /// so all interned names carry over unchanged. Derived `finalize()`
-  /// state is copied too: a finalized program clones finalized.
-  ///
-  /// This is the snapshot primitive behind `core::AnalysisSession`: the
-  /// immutable base library is built once and cloned per analysis cell,
-  /// which is far cheaper than re-running the library builders.
-  std::unique_ptr<Program> clone(SymbolTable &NewSymbols) const;
 
   // --- Construction -----------------------------------------------------
 

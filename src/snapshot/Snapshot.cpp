@@ -130,6 +130,10 @@ public:
       Failed = true;
       return false;
     }
+    // An empty destination vector may have a null data(), and memcpy to
+    // null is undefined even for zero bytes.
+    if (Count == 0)
+      return true;
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(Dst, Data.data() + Pos, Count * 4);
     } else {
@@ -875,7 +879,8 @@ std::string jackee::snapshot::saveToDir(const std::string &Dir,
 }
 
 LoadResult jackee::snapshot::loadFromDir(const std::string &Dir,
-                                         javalib::CollectionModel Model) {
+                                         javalib::CollectionModel Model,
+                                         std::vector<uint8_t> *Image) {
   std::string Path = snapshotPath(Dir, Model);
   MappedBuffer Buf;
   if (std::string Err = Buf.open(Path); !Err.empty()) {
@@ -886,5 +891,7 @@ LoadResult jackee::snapshot::loadFromDir(const std::string &Dir,
   LoadResult Out = deserialize(Buf.bytes(), Model);
   if (!Out.ok())
     Out.Warning = "'" + Path + "': " + Out.Warning;
+  else if (Image)
+    Image->assign(Buf.bytes().begin(), Buf.bytes().end());
   return Out;
 }

@@ -15,10 +15,15 @@
 ///    the builders, extracts the base relation facts, and `saveToDir`
 ///    writes one versioned binary image per collection model.
 ///  - **Phase 2** (`EngineOptions::SnapshotDir` / `JACKEE_SNAPSHOT_DIR`):
-///    `core::AnalysisSession` maps the store read-only and reconstructs
-///    its per-model `Snapshot` from the image instead of running builders,
-///    so a cold CLI run or a service replica boots in the time it takes to
-///    decode a few hundred kilobytes — and replicas share page cache.
+///    `core::AnalysisSession` maps the store read-only, validates it, and
+///    keeps the image instead of running builders, so a cold CLI run or a
+///    service replica boots in the time it takes to decode a few hundred
+///    kilobytes — and replicas share page cache.
+///
+/// The image is also the session's in-process cache format: without a
+/// store, a session serializes `buildBase` output once per model, and every
+/// analysis cell gets its base program by calling `deserialize` on its
+/// model's image. There is no other way for a cell to get one.
 ///
 /// Format: a 40-byte header (magic, format version, collection model,
 /// payload size, FNV-1a-64 content digest) followed by a little-endian
@@ -63,8 +68,8 @@ inline constexpr size_t HeaderBytes = 40;
 /// One collection model's complete application-independent state: the
 /// interned symbols, the (unfinalized) base IR, the well-known library
 /// entity ids, and the extracted base relation facts with their entity
-/// watermark. This is exactly what `core::AnalysisSession` caches per
-/// model and clones per cell.
+/// watermark. This is exactly what each `core::AnalysisSession` cell
+/// decodes from its model's image.
 struct BaseProgram {
   std::unique_ptr<SymbolTable> Symbols;
   /// Unfinalized: cells finalize after populating application code, and
@@ -97,7 +102,7 @@ struct LoadResult {
 };
 
 /// Validates and decodes one image. All strings and tuples are copied out
-/// of \p Image into owned storage (cells mutate their clones), so the
+/// of \p Image into owned storage (cells mutate what they decode), so the
 /// backing mapping may be unmapped as soon as this returns.
 LoadResult deserialize(std::span<const uint8_t> Image,
                        javalib::CollectionModel Expected);
@@ -118,9 +123,11 @@ std::string saveToDir(const std::string &Dir, const BaseProgram &B,
                       uint64_t *OutBytes = nullptr);
 
 /// Phase 2: maps the store file for \p Model read-only (falling back to a
-/// buffered read where mmap is unavailable) and deserializes it.
-LoadResult loadFromDir(const std::string &Dir,
-                       javalib::CollectionModel Model);
+/// buffered read where mmap is unavailable) and deserializes it. When the
+/// image validates and \p Image is non-null, \p Image receives a copy of
+/// its bytes — what the session keeps and decodes per cell.
+LoadResult loadFromDir(const std::string &Dir, javalib::CollectionModel Model,
+                       std::vector<uint8_t> *Image = nullptr);
 
 } // namespace snapshot
 } // namespace jackee

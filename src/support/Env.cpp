@@ -29,10 +29,21 @@ std::optional<long> jackee::env::countVar(const char *Name, long Min,
   return N;
 }
 
-bool jackee::env::flagVar(const char *Name) {
+env::Switch jackee::env::switchVar(const char *Name) {
+  Switch S;
   const char *Value = rawVar(Name);
-  return Value && (std::strcmp(Value, "1") == 0 ||
-                   std::strcmp(Value, "true") == 0);
+  if (!Value || std::strcmp(Value, "0") == 0 ||
+      std::strcmp(Value, "false") == 0)
+    return S;
+  S.On = true;
+  if (std::strcmp(Value, "1") != 0 && std::strcmp(Value, "true") != 0)
+    S.Path = Value;
+  return S;
+}
+
+bool jackee::env::flagVar(const char *Name) {
+  Switch S = switchVar(Name);
+  return S.On && S.Path.empty();
 }
 
 unsigned jackee::env::resolveWorkerCount(unsigned Explicit,

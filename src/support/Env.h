@@ -19,7 +19,12 @@
 ///   JACKEE_PLAN            join-plan mode               (datalog::resolvePlanMode)
 ///   JACKEE_PROVENANCE      derivation recording on/off  (core::AnalysisSession)
 ///   JACKEE_TRACE           span tracing, value = output path (core::AnalysisSession)
+///   JACKEE_PROFILE         deep profiler, value = event-log path (core::AnalysisSession)
 ///   JACKEE_SNAPSHOT_DIR    AOT base-program store directory (core::AnalysisSession)
+///
+/// The on/off variables share one reading (`switchVar`): unset, empty, "0"
+/// or "false" is off; "1" or "true" is on; any other value is on and names
+/// an output path for the two path-taking variables.
 ///
 /// Malformed or out-of-range values are ignored (the next precedence level
 /// applies) — a typo'd variable must never turn into a silent 1-thread or
@@ -31,6 +36,7 @@
 #define JACKEE_SUPPORT_ENV_H
 
 #include <optional>
+#include <string>
 
 namespace jackee {
 namespace env {
@@ -42,7 +48,18 @@ const char *rawVar(const char *Name);
 /// garbage, or out-of-range values all yield `nullopt`.
 std::optional<long> countVar(const char *Name, long Min = 1, long Max = 256);
 
-/// True if \p Name is set to "1" or "true".
+/// An on/off variable whose value may also name an output path.
+struct Switch {
+  bool On = false;
+  std::string Path; ///< the value when it is neither on nor off
+};
+
+/// Reads \p Name as a switch: unset, empty, "0" or "false" is off; "1" or
+/// "true" is on; any other value is on, with the value as `Path`.
+Switch switchVar(const char *Name);
+
+/// True if \p Name is set to "1" or "true". A path-like value is malformed
+/// for a plain flag and reads as off.
 bool flagVar(const char *Name);
 
 /// Resolves a worker count: \p Explicit if non-zero (clamped to [1, 256]),

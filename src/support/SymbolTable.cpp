@@ -24,17 +24,6 @@ uint32_t fragmentOf(uint64_t Hash) {
 
 } // namespace
 
-std::unique_ptr<SymbolTable> SymbolTable::clone() const {
-  auto Copy = std::make_unique<SymbolTable>();
-  // Re-intern in id order so every symbol keeps its id in the copy. This
-  // table's entries are unique by construction, so the no-duplicate path
-  // applies.
-  Copy->reserve(Strings.size());
-  for (const std::string &Text : Strings)
-    Copy->internNew(Text);
-  return Copy;
-}
-
 size_t SymbolTable::findSlot(std::string_view Text, uint64_t Hash) const {
   const size_t Mask = Slots.size() - 1;
   const uint32_t Fragment = fragmentOf(Hash);

@@ -17,7 +17,6 @@
 #include "support/Id.h"
 
 #include <deque>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,28 +32,21 @@ using Symbol = Id<struct SymbolTag>;
 /// Storage is a deque so that `text()` references stay valid as the table
 /// grows. The lookup index is a flat open-addressing table of
 /// (hash fragment, symbol index) pairs — no per-entry node allocations,
-/// which is what makes bulk rebuilds (`clone()`, the snapshot loader) and
-/// the extraction-time intern storm cheap.
+/// which is what makes bulk rebuilds (the snapshot decoder every analysis
+/// cell runs) and the extraction-time intern storm cheap.
 class SymbolTable {
 public:
   SymbolTable() = default;
   SymbolTable(const SymbolTable &) = delete;
   SymbolTable &operator=(const SymbolTable &) = delete;
 
-  /// Deep-copies the table. Every symbol of this table keeps its id (and
-  /// therefore its meaning) in the copy — the foundation of base-program
-  /// snapshots, where a cloned `ir::Program` carries its `Symbol` fields
-  /// over to a cloned table verbatim. Tables stay intentionally
-  /// non-copyable; cloning is an explicit, spelled-out act.
-  std::unique_ptr<SymbolTable> clone() const;
-
   /// Interns \p Text, returning the existing symbol if already present.
   Symbol intern(std::string_view Text);
 
   /// Interns \p Text that the caller expects to be absent. \returns the
   /// new symbol, or the invalid symbol (table unchanged) when \p Text was
-  /// in fact already present — the duplicate check of `clone()` and the
-  /// snapshot loader, whose inputs list every string exactly once.
+  /// in fact already present — the duplicate check of the snapshot
+  /// decoder, whose input lists every string exactly once.
   Symbol internNew(std::string_view Text);
 
   /// Pre-sizes the lookup index for \p N symbols: one rehash up front

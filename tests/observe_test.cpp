@@ -263,8 +263,8 @@ TEST(MetricsJsonTest, EscapesNamesAndExportsObservedSamples) {
             std::string::npos);
   // The raw unescaped name must not appear inside the JSON.
   EXPECT_EQ(Json.find("we\"b\\goat"), std::string::npos);
-  // snapshot_cache_hit stays the (comma-free) last field.
-  size_t Last = Json.rfind("\"snapshot_cache_hit\"");
+  // total_seconds stays the (comma-free) last field.
+  size_t Last = Json.rfind("\"total_seconds\"");
   ASSERT_NE(Last, std::string::npos);
   EXPECT_EQ(Json.find(',', Last), std::string::npos);
 }
@@ -423,6 +423,20 @@ TEST(SessionTraceTest, DisabledByDefaultAndEnabledByEnv) {
     EXPECT_NE(Session.tracer(), nullptr);
   }
   ::unsetenv("JACKEE_TRACE");
+}
+
+TEST(SessionTraceTest, ZeroOrFalseLeavesTracingAndProfilingOff) {
+  // Off values must not turn the switches on, nor name an output file.
+  ::setenv("JACKEE_TRACE", "0", 1);
+  ::setenv("JACKEE_PROFILE", "false", 1);
+  {
+    AnalysisSession Session(SessionOptions{});
+    EXPECT_EQ(Session.tracer(), nullptr);
+    EXPECT_EQ(Session.eventSink(), nullptr);
+    EXPECT_FALSE(Session.profilingEnabled());
+  }
+  ::unsetenv("JACKEE_TRACE");
+  ::unsetenv("JACKEE_PROFILE");
 }
 
 } // namespace

@@ -2,10 +2,10 @@
 //
 // Part of JackEE-CPP (PLDI'20 "Frameworks and Caches" reproduction).
 //
-// Covers the batch analysis API: snapshot-clone equivalence (a cell served
-// from a cloned cached snapshot is bit-identical to one that rebuilt the
-// base program), cache-hit accounting, matrix determinism across job
-// counts, error-path reporting, and metrics JSON serialization.
+// Covers the batch analysis API: image equivalence (cells decoding one
+// memoized base-program image are bit-identical to cells that each got a
+// fresh image), one image build per collection model, matrix determinism
+// across job counts, error-path reporting, and metrics JSON serialization.
 //
 //===----------------------------------------------------------------------===//
 
@@ -65,36 +65,31 @@ Application emptyApp(
   return App;
 }
 
-TEST(SnapshotCacheTest, CloneEquivalentToFreshBuild) {
+TEST(SnapshotCacheTest, MemoizedImageMatchesPerCellImage) {
   Application App = synth::applicationFor(synth::BenchApp::WebGoat);
 
-  SessionOptions Cached;
-  Cached.Jobs = 1;
-  Cached.DatalogThreads = 1;
-  Cached.SnapshotCache = true;
-  SessionOptions Fresh = Cached;
-  Fresh.SnapshotCache = false;
+  SessionOptions Memoized;
+  Memoized.Jobs = 1;
+  Memoized.DatalogThreads = 1;
+  Memoized.SnapshotCache = true;
+  SessionOptions PerCell = Memoized;
+  PerCell.SnapshotCache = false;
 
-  AnalysisSession CachedS(Cached), FreshS(Fresh);
+  AnalysisSession MemoizedS(Memoized), PerCellS(PerCell);
   for (AnalysisKind Kind : {AnalysisKind::CI, AnalysisKind::TwoObjH,
                             AnalysisKind::Mod2ObjH}) {
-    AnalysisResult A = CachedS.run(App, Kind);
-    AnalysisResult B = FreshS.run(App, Kind);
+    CellResult A = MemoizedS.open(App, Kind);
+    CellResult B = PerCellS.open(App, Kind);
     ASSERT_TRUE(A.ok());
     ASSERT_TRUE(B.ok());
-    expectSameResults(*A, *B);
+    expectSameResults(A->metrics(), B->metrics());
+    EXPECT_EQ(A->canonicalDigest(), B->canonicalDigest());
   }
 
-  // The cached session built one snapshot per collection model (CI and
-  // TwoObjH share OriginalJdk8) and cloned once per cell; the fresh
-  // session never touched the cache.
-  AnalysisSession::CacheStats CS = CachedS.cacheStats();
-  EXPECT_EQ(CS.SnapshotBuilds, 2u);
-  EXPECT_EQ(CS.SnapshotClones, 3u);
-  EXPECT_EQ(CS.SnapshotHits, 1u); // second OriginalJdk8 cell
-  AnalysisSession::CacheStats FS = FreshS.cacheStats();
-  EXPECT_EQ(FS.SnapshotBuilds, 0u);
-  EXPECT_EQ(FS.SnapshotClones, 0u);
+  // The memoizing session built one image per collection model (CI and
+  // TwoObjH share OriginalJdk8); the other built one per cell.
+  EXPECT_EQ(MemoizedS.cacheStats().SnapshotBuilds, 2u);
+  EXPECT_EQ(PerCellS.cacheStats().SnapshotBuilds, 3u);
 }
 
 TEST(SnapshotCacheTest, RunAnalysisWrapperMatchesSession) {
@@ -131,21 +126,11 @@ TEST(MatrixTest, CacheHitAccountingIsDeterministic) {
       ASSERT_TRUE(R.ok());
 
     // Two collection models: OriginalJdk8 (ci, 2objH) and SoundModulo
-    // (mod-2objH). Exactly the first cell of each model in result order is
-    // the miss — regardless of job count.
+    // (mod-2objH). Each image is built exactly once, even when concurrent
+    // cells miss it together.
     AnalysisSession::CacheStats CS = Session.cacheStats();
     EXPECT_EQ(CS.SnapshotBuilds, 2u) << "jobs=" << Jobs;
-    EXPECT_EQ(CS.SnapshotClones, 6u) << "jobs=" << Jobs;
-    EXPECT_EQ(CS.SnapshotHits, 4u) << "jobs=" << Jobs;
-    EXPECT_FALSE(Results[0]->SnapshotCacheHit); // webgoat/ci: OriginalJdk8
-    EXPECT_TRUE(Results[1]->SnapshotCacheHit);  // webgoat/2objH
-    EXPECT_FALSE(Results[2]->SnapshotCacheHit); // webgoat/mod: SoundModulo
-    EXPECT_TRUE(Results[3]->SnapshotCacheHit);
-    EXPECT_TRUE(Results[4]->SnapshotCacheHit);
-    EXPECT_TRUE(Results[5]->SnapshotCacheHit);
-    // Only the builder cells carry the build time.
-    EXPECT_GT(Results[0]->SnapshotBuildSeconds, 0.0);
-    EXPECT_EQ(Results[1]->SnapshotBuildSeconds, 0.0);
+    EXPECT_EQ(CS.SnapshotLoads, 0u) << "jobs=" << Jobs;
   }
 }
 
@@ -178,8 +163,6 @@ TEST_P(MatrixDeterminismSweep, ParallelMatchesSequential) {
     ASSERT_TRUE(A[I].ok());
     ASSERT_TRUE(B[I].ok());
     expectSameResults(*A[I], *B[I]);
-    EXPECT_EQ(A[I]->SnapshotCacheHit, B[I]->SnapshotCacheHit)
-        << "cell " << I << " at jobs=" << Jobs;
   }
 }
 
@@ -288,9 +271,8 @@ TEST(MetricsJsonTest, ContainsEveryField) {
         "\"avg_objs_per_var\"", "\"call_graph_edges\"",
         "\"app_poly_vcalls\"", "\"app_mayfail_casts\"",
         "\"vpt_tuples_total\"", "\"java_util_share\"",
-        "\"datalog_threads\"", "\"snapshot_build_seconds\"",
-        "\"populate_seconds\"", "\"total_seconds\"",
-        "\"snapshot_cache_hit\""})
+        "\"datalog_threads\"", "\"snapshot_clone_seconds\"",
+        "\"populate_seconds\"", "\"total_seconds\""})
     EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
   // Joinable rows: no trailing comma or newline.
   EXPECT_EQ(Json.back(), '}');

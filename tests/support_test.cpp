@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/DenseSet.h"
+#include "support/Env.h"
 #include "support/Hashing.h"
 #include "support/Id.h"
 #include "support/SymbolTable.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -140,6 +142,33 @@ TEST(HashingTest, HashWordsDependsOnOrder) {
   uint32_t A[] = {1, 2, 3};
   uint32_t B[] = {3, 2, 1};
   EXPECT_NE(hashWords(A, 3), hashWords(B, 3));
+}
+
+TEST(EnvTest, SwitchVarReadsOffOnAndPath) {
+  const char *Name = "JACKEE_TEST_SWITCH";
+  ::unsetenv(Name);
+  EXPECT_FALSE(env::switchVar(Name).On);
+  for (const char *Off : {"", "0", "false"}) {
+    ::setenv(Name, Off, 1);
+    env::Switch S = env::switchVar(Name);
+    EXPECT_FALSE(S.On) << "'" << Off << "'";
+    EXPECT_EQ(S.Path, "") << "'" << Off << "'";
+    EXPECT_FALSE(env::flagVar(Name)) << "'" << Off << "'";
+  }
+  for (const char *On : {"1", "true"}) {
+    ::setenv(Name, On, 1);
+    env::Switch S = env::switchVar(Name);
+    EXPECT_TRUE(S.On) << On;
+    EXPECT_EQ(S.Path, "") << On;
+    EXPECT_TRUE(env::flagVar(Name)) << On;
+  }
+  // Any other value is on and names a path; a plain flag ignores it.
+  ::setenv(Name, "out/trace.json", 1);
+  env::Switch S = env::switchVar(Name);
+  EXPECT_TRUE(S.On);
+  EXPECT_EQ(S.Path, "out/trace.json");
+  EXPECT_FALSE(env::flagVar(Name));
+  ::unsetenv(Name);
 }
 
 } // namespace
