@@ -93,17 +93,12 @@ static void BM_TransitiveClosure(benchmark::State &State) {
 }
 BENCHMARK(BM_TransitiveClosure)->Arg(50)->Arg(100)->Arg(200)->Complexity();
 
-/// Thread-scaling probe for the parallel evaluator. The chain graph above
-/// is inherently serial (one new tuple per round), so this one uses a wide
-/// seeded random graph whose per-round deltas are large enough to chunk
-/// across workers. Run with
-/// `--benchmark_out=BENCH_datalog.json --benchmark_out_format=json` to
-/// capture the scaling trajectory (see EXPERIMENTS.md).
-static void BM_TransitiveClosureThreads(benchmark::State &State) {
+/// Transitive closure over a wide seeded random graph. The chain graph
+/// above derives one new tuple per round; this one has few rounds with
+/// large deltas and many joins per pass.
+static void BM_TransitiveClosureWide(benchmark::State &State) {
   const int64_t Nodes = State.range(0);
-  const unsigned Threads = static_cast<unsigned>(State.range(1));
   uint64_t Tuples = 0;
-  double Busy = 0, Wall = 0;
   for (auto _ : State) {
     State.PauseTiming();
     SymbolTable Symbols;
@@ -126,26 +121,18 @@ static void BM_TransitiveClosureThreads(benchmark::State &State) {
     for (int64_t I = 0; I != Nodes * 4; ++I)
       DB.insertFact("edge", {"n" + std::to_string(next() % Nodes),
                              "n" + std::to_string(next() % Nodes)});
-    Evaluator Eval(DB, Rules, Threads);
+    Evaluator Eval(DB, Rules);
     State.ResumeTiming();
     Eval.run();
     benchmark::DoNotOptimize(DB.relation(DB.find("path")).size());
-    State.PauseTiming();
     Tuples = Eval.stats().TuplesDerived;
-    for (const Evaluator::StratumStats &SS : Eval.stats().Strata) {
-      Wall += SS.WallSeconds;
-      Busy += SS.WorkerBusySeconds;
-    }
-    State.ResumeTiming();
   }
   State.counters["tuples"] = static_cast<double>(Tuples);
-  State.counters["threads"] = Threads;
-  if (Threads > 1 && Wall > 0)
-    State.counters["utilization"] = Busy / (Wall * Threads);
 }
-BENCHMARK(BM_TransitiveClosureThreads)
-    ->ArgsProduct({{256, 512}, {1, 2, 4, 8}})
-    ->ArgNames({"nodes", "threads"})
+BENCHMARK(BM_TransitiveClosureWide)
+    ->Arg(256)
+    ->Arg(512)
+    ->ArgNames({"nodes"})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
@@ -180,7 +167,7 @@ static void BM_JoinOrderAdversarial(benchmark::State &State) {
                     {"b" + std::to_string(I % 61), "c" + std::to_string(I)});
     for (int64_t I = 0; I != 4; ++I)
       DB.insertFact("tiny", {"c" + std::to_string(I)});
-    Evaluator Eval(DB, Rules, /*Threads=*/1, Mode);
+    Evaluator Eval(DB, Rules, Mode);
     State.ResumeTiming();
     Eval.run();
     Result = DB.relation(DB.find("q")).size();

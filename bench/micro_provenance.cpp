@@ -47,13 +47,12 @@ void loadWideGraph(Database &DB, int64_t Nodes) {
 
 } // namespace
 
-/// Transitive closure with recording off vs on, sequential and parallel.
-/// Compare `recording:0` here against `BM_TransitiveClosureThreads` in
-/// micro_datalog to confirm the no-observer path is unchanged.
+/// Transitive closure with recording off vs on. Compare `recording:0` here
+/// against `BM_TransitiveClosureWide` in micro_datalog to confirm the
+/// no-observer path is unchanged.
 static void BM_TCProvenance(benchmark::State &State) {
   const int64_t Nodes = State.range(0);
-  const unsigned Threads = static_cast<unsigned>(State.range(1));
-  const bool Recording = State.range(2) != 0;
+  const bool Recording = State.range(1) != 0;
   uint64_t Recorded = 0;
   for (auto _ : State) {
     State.PauseTiming();
@@ -62,7 +61,7 @@ static void BM_TCProvenance(benchmark::State &State) {
     RuleSet Rules;
     parseRules(DB, Rules, TC_RULES, "bench");
     loadWideGraph(DB, Nodes);
-    Evaluator Eval(DB, Rules, Threads);
+    Evaluator Eval(DB, Rules);
     provenance::ProvenanceRecorder Recorder(DB, Rules);
     if (Recording) {
       Recorder.beginEpoch("base");
@@ -78,8 +77,8 @@ static void BM_TCProvenance(benchmark::State &State) {
   State.counters["recorded"] = static_cast<double>(Recorded);
 }
 BENCHMARK(BM_TCProvenance)
-    ->ArgsProduct({{256, 512}, {1, 4}, {0, 1}})
-    ->ArgNames({"nodes", "threads", "recording"})
+    ->ArgsProduct({{256, 512}, {0, 1}})
+    ->ArgNames({"nodes", "recording"})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -11,7 +11,7 @@
 //   benchmark_cli webgoat mod-2objH
 //   benchmark_cli webgoat pybbs ci 2objH mod-2objH
 //   benchmark_cli --jobs=4 all ci mod-2objH
-//   benchmark_cli --threads=4 --benchmark_out=BENCH_webgoat.json
+//   benchmark_cli --jobs=2 --benchmark_out=BENCH_webgoat.json
 //       webgoat ci mod-2objH          # also emit machine-readable JSON
 //
 //===----------------------------------------------------------------------===//
@@ -77,8 +77,6 @@ int usage() {
   std::printf("options:\n"
               "  --jobs=N               matrix workers "
               "(default: JACKEE_JOBS or hardware)\n"
-              "  --threads=N            per-cell Datalog workers "
-              "(default: 1 when jobs > 1)\n"
               "  --solver-threads=N     per-cell points-to solver workers "
               "(default: 1 when\n"
               "                         jobs > 1; also via "
@@ -111,8 +109,8 @@ int usage() {
               "                         also prints a flame summary\n"
               "  --trace-structure=FILE write the timestamp-free span tree "
               "(bit-identical\n"
-              "                         at any --jobs/--threads — for "
-              "determinism diffs)\n"
+              "                         at any --jobs/--solver-threads — "
+              "for determinism diffs)\n"
               "  --profile              deep profiler (also via "
               "JACKEE_PROFILE): per-rule and\n"
               "                         per-relation cost attribution plus "
@@ -125,8 +123,9 @@ int usage() {
               "scripts/profile_report.py\n"
               "  --profile-text=FILE    write the deterministic text "
               "reports (bit-identical\n"
-              "                         at any --jobs/--threads/--plan — "
-              "for CI byte-diffs)\n"
+              "                         at any --jobs/--solver-threads/"
+              "--plan — for CI\n"
+              "                         byte-diffs)\n"
               "  --explain=QUERY        run ONE (benchmark, analysis) cell "
               "with provenance\n"
               "                         recording and print the derivation "
@@ -481,13 +480,6 @@ int main(int Argc, char **Argv) {
       EditScript = Argv[I] + 7;
     } else if (std::strcmp(Argv[I], "--edit-scratch") == 0) {
       EditScratch = true;
-    } else if (std::strncmp(Argv[I], "--threads=", 10) == 0) {
-      long N = parseCount(Argv[I] + 10);
-      if (N < 0) {
-        std::printf("error: --threads must be in 1..256\n\n");
-        return usage();
-      }
-      Options.DatalogThreads = static_cast<unsigned>(N);
     } else if (std::strncmp(Argv[I], "--solver-threads=", 17) == 0) {
       long N = parseCount(Argv[I] + 17);
       if (N < 0) {

@@ -9,7 +9,6 @@
 #include "observe/Json.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <set>
 #include <sstream>
@@ -97,54 +96,6 @@ std::string jackee::core::summaryReport(const Solver &S) {
       << '\n'
       << "  of which java.util:             "
       << S.varPointsToTuples("java.util") << '\n';
-  return Out.str();
-}
-
-std::string
-jackee::core::evaluatorStatsReport(const datalog::Evaluator::Stats &S) {
-  std::ostringstream Out;
-  Out << "datalog evaluation: " << S.StratumCount << " strata, "
-      << S.TuplesDerived << " tuples derived, " << S.RuleEvaluations
-      << " rule passes, " << S.Threads
-      << (S.Threads == 1 ? " thread (sequential)\n" : " threads\n");
-  if (S.Strata.empty())
-    return Out.str();
-  // Columns are right-aligned at their legacy minimum widths but *widen*
-  // to the longest value, so very large counts can never smear rows out
-  // of alignment.
-  constexpr size_t Columns = 7;
-  const std::array<const char *, Columns> Headers = {
-      "stratum", "rules", "rounds", "passes", "tuples", "wall(s)", "util(%)"};
-  std::array<size_t, Columns> Width = {7, 6, 7, 7, 10, 9, 8};
-  std::vector<std::array<std::string, Columns>> Rows;
-  char Buf[64];
-  for (size_t I = 0; I != S.Strata.size(); ++I) {
-    const datalog::Evaluator::StratumStats &SS = S.Strata[I];
-    std::array<std::string, Columns> &Row = Rows.emplace_back();
-    Row[0] = std::to_string(I);
-    Row[1] = std::to_string(SS.Rules);
-    Row[2] = std::to_string(SS.Rounds);
-    Row[3] = std::to_string(SS.RuleEvaluations);
-    Row[4] = std::to_string(SS.TuplesDerived);
-    std::snprintf(Buf, sizeof(Buf), "%.4f", SS.WallSeconds);
-    Row[5] = Buf;
-    std::snprintf(Buf, sizeof(Buf), "%.1f",
-                  100.0 * SS.utilization(S.Threads));
-    Row[6] = Buf;
-    for (size_t C = 0; C != Columns; ++C)
-      Width[C] = std::max(Width[C], Row[C].size());
-  }
-  auto emitRow = [&](auto cell) {
-    Out << ' ';
-    for (size_t C = 0; C != Columns; ++C) {
-      std::string_view Text = cell(C);
-      Out << ' ' << std::string(Width[C] - Text.size(), ' ') << Text;
-    }
-    Out << '\n';
-  };
-  emitRow([&](size_t C) { return std::string_view(Headers[C]); });
-  for (const std::array<std::string, Columns> &Row : Rows)
-    emitRow([&](size_t C) { return std::string_view(Row[C]); });
   return Out.str();
 }
 
@@ -245,10 +196,8 @@ std::string jackee::core::metricsToJson(const Metrics &M, unsigned Indent) {
   field("solver_threads", std::to_string(M.SolverThreads));
   field("solver_rounds", std::to_string(M.SolverRounds));
   field("solver_work_items", std::to_string(M.SolverWorkItems));
-  field("datalog_threads", std::to_string(M.DatalogThreads));
   field("datalog_tuples_derived", std::to_string(M.DatalogTuplesDerived));
   field("datalog_strata", std::to_string(M.DatalogStrata));
-  field("datalog_utilization", num(M.DatalogUtilization));
   field("provenance_enabled", M.ProvenanceEnabled ? "true" : "false");
   field("provenance_tuples_recorded",
         std::to_string(M.ProvenanceTuplesRecorded));

@@ -16,7 +16,7 @@
 
 #include "core/Pipeline.h"
 #include "core/Session.h"
-#include "datalog/Evaluator.h"
+#include "datalog/Rule.h"
 #include "observe/Trace.h"
 #include "pointsto/Solver.h"
 
@@ -41,11 +41,6 @@ std::string varPointsToReport(const pointsto::Solver &S);
 /// One summary block with the headline counts (reachable methods, edges,
 /// values, contexts) — convenient for logs.
 std::string summaryReport(const pointsto::Solver &S);
-
-/// Renders the Datalog evaluator's per-stratum observability record: one
-/// header line (threads, strata, totals) and one fixed-width row per
-/// stratum (rules, rounds, passes, tuples, wall time, worker utilization).
-std::string evaluatorStatsReport(const datalog::Evaluator::Stats &S);
 
 /// Renders a rule set back to rule text, one indexed line per rule with
 /// its source origin (`file.dl:line`, from `Rule::Origin`) — the listing

@@ -134,16 +134,8 @@ void AnalysisCell::finishMetrics(Metrics &M) {
   M.BeansCreated = FM->stats().BeansCreated;
   M.InjectionsApplied = FM->stats().InjectionsApplied;
   if (const datalog::Evaluator::Stats *ES = FM->evaluatorStats()) {
-    M.DatalogThreads = ES->Threads;
     M.DatalogTuplesDerived = ES->TuplesDerived;
     M.DatalogStrata = ES->StratumCount;
-    double Wall = 0, Busy = 0;
-    for (const datalog::Evaluator::StratumStats &SS : ES->Strata) {
-      Wall += SS.WallSeconds;
-      Busy += SS.WorkerBusySeconds;
-    }
-    M.DatalogUtilization =
-        Wall > 0 && ES->Threads > 1 ? Busy / (Wall * ES->Threads) : 0.0;
   }
   // Fold the cell's registry into the exported metrics. The gauges set
   // here are end-of-cell state; everything else accumulated during
@@ -631,8 +623,6 @@ unsigned AnalysisSession::defaultJobCount() {
 AnalysisSession::AnalysisSession(SessionOptions Opts) : Options(Opts) {
   Jobs = Options.Jobs ? std::clamp(Options.Jobs, 1u, 256u)
                       : defaultJobCount();
-  CellThreads = Options.DatalogThreads ? Options.DatalogThreads
-                                       : (Jobs > 1 ? 1u : 0u);
   SolverCellThreads = Options.SolverThreads ? Options.SolverThreads
                                             : (Jobs > 1 ? 1u : 0u);
   RecordProvenance = Options.Provenance || env::flagVar("JACKEE_PROVENANCE");
@@ -727,7 +717,6 @@ CellResult AnalysisSession::openCell(const Application &App,
   Cell->AppName = App.Name;
   Cell->MainClass = App.MainClass;
   Cell->Kind = Kind;
-  Cell->DatalogThreads = CellThreads;
   Cell->SolverThreadsReq = SolverCellThreads;
   Cell->Profiled = ProfileCells;
   Cell->Trace = Trace.get();
@@ -781,7 +770,7 @@ CellResult AnalysisSession::openCell(const Application &App,
 
   Cell->DB = std::make_unique<datalog::Database>(P.symbols());
   Cell->FM = std::make_unique<frameworks::FrameworkManager>(
-      P, *Cell->DB, Options.MockOptions, CellThreads, Options.Plan);
+      P, *Cell->DB, Options.MockOptions, Options.Plan);
   frameworks::FrameworkManager &FM = *Cell->FM;
   FM.setTracer(Trace.get());
   FM.setMetricsRegistry(&Registry);

@@ -61,13 +61,13 @@ namespace core {
 
 /// Session-wide knobs. Per-analysis configuration stays in `AnalysisKind`.
 ///
-/// The engine knobs (`DatalogThreads`, `SolverThreads`, `Plan`) are
-/// inherited from `EngineOptions` — one struct shared with `runAnalysis` —
-/// with a session-specific twist to the `0` default: when the session runs
-/// cells in parallel (`Jobs > 1`), per-cell thread counts default to 1 (the
-/// matrix is the parallelism — nesting a per-cell pool under every matrix
-/// worker would oversubscribe quadratically); otherwise the engines' own
-/// `JACKEE_THREADS`/`JACKEE_SOLVER_THREADS`/hardware defaults apply.
+/// The engine knobs (`SolverThreads`, `Plan`) are inherited from
+/// `EngineOptions` — one struct shared with `runAnalysis` — with a
+/// session-specific twist to the `0` default: when the session runs cells
+/// in parallel (`Jobs > 1`), the per-cell solver thread count defaults to 1
+/// (the matrix is the parallelism — nesting a per-cell pool under every
+/// matrix worker would oversubscribe quadratically); otherwise the solver's
+/// own `JACKEE_SOLVER_THREADS`/hardware default applies.
 struct SessionOptions : EngineOptions {
   /// Matrix workers for `runMatrix`. 0 resolves the `JACKEE_JOBS`
   /// environment variable, falling back to `hardware_concurrency`;
@@ -96,7 +96,7 @@ struct SessionOptions : EngineOptions {
   /// value turns it on and names a file the session writes as Chrome
   /// trace-event JSON on destruction (see support/Env.h).
   /// The timestamp-stripped span structure (`observe::renderStructure`) is
-  /// bit-identical at any `Jobs`/`DatalogThreads` setting — see
+  /// bit-identical at any `Jobs`/`SolverThreads` setting — see
   /// observe/Trace.h for the contract.
   bool Trace = false;
 
@@ -234,7 +234,6 @@ private:
   std::string AppName;
   std::string MainClass;
   AnalysisKind Kind = AnalysisKind::CI;
-  unsigned DatalogThreads = 0;
   unsigned SolverThreadsReq = 0;
   bool Profiled = false;            ///< deep profiler on for this cell
   observe::Tracer *Trace = nullptr; ///< session-owned; may be null
@@ -405,7 +404,6 @@ private:
 
   SessionOptions Options;
   unsigned Jobs = 1;        ///< resolved matrix worker count
-  unsigned CellThreads = 0; ///< resolved per-cell Datalog worker count
   unsigned SolverCellThreads = 0; ///< per-cell solver worker request
   bool RecordProvenance = false; ///< Options.Provenance or JACKEE_PROVENANCE
   std::string SnapshotDir; ///< resolved AOT store directory ("" = disabled)

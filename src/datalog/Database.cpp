@@ -152,17 +152,6 @@ Relation::lookup(std::span<const uint32_t> Columns,
   return It->second;
 }
 
-const std::vector<uint32_t> *
-Relation::lookupPrebuilt(std::span<const uint32_t> Columns,
-                         std::span<const Symbol> Key) const {
-  assert(Columns.size() == Key.size() && "column/key shape mismatch");
-  const Index *Found = findIndex(Columns);
-  if (!Found)
-    return nullptr;
-  auto It = Found->Postings.find(keyHashFor(*Found, Key));
-  return It == Found->Postings.end() ? &EmptyPostings : &It->second;
-}
-
 uint32_t Relation::distinctKeys(std::span<const uint32_t> Columns) const {
   const Index *Found = findIndex(Columns);
   return Found ? static_cast<uint32_t>(Found->Postings.size()) : 0;

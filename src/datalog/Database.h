@@ -79,9 +79,9 @@ public:
 
   /// \returns true if \p Tuple is present.
   ///
-  /// Thread-safe against concurrent `contains`/`lookupPrebuilt`/`tuple`
-  /// readers (the probe scratch state is thread-local); must not run
-  /// concurrently with `insert`/`lookup`/`ensureIndex`.
+  /// Thread-safe against concurrent `contains`/`tuple` readers (the probe
+  /// scratch state is thread-local); must not run concurrently with
+  /// `insert`/`lookup`/`ensureIndex`.
   bool contains(std::span<const Symbol> Tuple) const;
 
   /// Sentinel returned by `find` for absent tuples.
@@ -126,19 +126,8 @@ public:
   const std::vector<uint32_t> &lookup(std::span<const uint32_t> Columns,
                                       std::span<const Symbol> Key);
 
-  /// Builds the index over \p Columns now if it does not exist yet. The
-  /// parallel evaluator calls this (single-threaded) for every column set a
-  /// round's join plans can touch, so the worker phase can use
-  /// `lookupPrebuilt` without ever mutating the relation.
+  /// Builds the index over \p Columns now if it does not exist yet.
   void ensureIndex(std::span<const uint32_t> Columns);
-
-  /// Read-only postings lookup against an index built earlier via
-  /// `ensureIndex`/`lookup`. \returns nullptr if no index over \p Columns
-  /// exists (callers fall back to a range scan). Safe to call from multiple
-  /// threads as long as no thread mutates the relation.
-  const std::vector<uint32_t> *
-  lookupPrebuilt(std::span<const uint32_t> Columns,
-                 std::span<const Symbol> Key) const;
 
   /// Exact distinct-key count of the index over \p Columns (its postings
   /// group count), or 0 when no such index has been built. The join

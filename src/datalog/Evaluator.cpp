@@ -6,12 +6,8 @@
 
 #include "datalog/Evaluator.h"
 
-#include "support/Env.h"
-#include "support/WorkQueue.h"
-
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 using namespace jackee;
 using namespace jackee::datalog;
@@ -111,42 +107,12 @@ private:
   uint32_t SccCount = 0;
 };
 
-/// Lexicographic order over flat fixed-arity tuples.
-struct TupleLess {
-  const Symbol *Base;
-  uint32_t Arity;
-  bool operator()(uint32_t Lhs, uint32_t Rhs) const {
-    const Symbol *A = Base + size_t(Lhs) * Arity;
-    const Symbol *B = Base + size_t(Rhs) * Arity;
-    for (uint32_t C = 0; C != Arity; ++C) {
-      if (A[C].rawValue() != B[C].rawValue())
-        return A[C].rawValue() < B[C].rawValue();
-    }
-    return false;
-  }
-};
-
 } // namespace
 
-unsigned Evaluator::defaultThreadCount() {
-  return env::resolveWorkerCount(0, "JACKEE_THREADS");
-}
-
-Evaluator::Evaluator(Database &DB, const RuleSet &Rules, unsigned Threads,
-                     PlanMode Plan)
-    : DB(DB), Rules(Rules),
-      Threads(Threads == 0 ? defaultThreadCount() : std::min(Threads, 256u)),
-      Planning(resolvePlanMode(Plan)) {
+Evaluator::Evaluator(Database &DB, const RuleSet &Rules, PlanMode Plan)
+    : DB(DB), Rules(Rules), Planning(resolvePlanMode(Plan)) {
   stratify();
-  EvalStats.Threads = this->Threads;
-  if (this->Threads > 1) {
-    Pool = std::make_unique<WorkerPool>(this->Threads);
-    Staging.resize(this->Threads);
-  }
-  Scratch.resize(this->Threads > 1 ? this->Threads : 1);
 }
-
-Evaluator::~Evaluator() = default;
 
 void Evaluator::stratify() {
   uint32_t RelCount = static_cast<uint32_t>(DB.relationCount());
@@ -202,18 +168,6 @@ void Evaluator::run() {
     // the rule set between runs and re-runs pick the new rules up.
     RuleProfiles.resize(Rules.rules().size());
     RuleLastRound.resize(Rules.rules().size(), 0);
-    for (size_t W = 0; W != Scratch.size(); ++W)
-      Scratch[W].Prof.resize(Rules.rules().size());
-  }
-  if (Observer && PositiveArity.size() != Rules.rules().size()) {
-    PositiveArity.clear();
-    for (const Rule &R : Rules.rules()) {
-      uint32_t Positives = 0;
-      for (const Atom &A : R.Body)
-        if (!A.Negated)
-          ++Positives;
-      PositiveArity.push_back(Positives);
-    }
   }
   for (size_t I = 0; I != Strata.size(); ++I) {
     StratumStats &SS = EvalStats.Strata[I];
@@ -235,19 +189,6 @@ void Evaluator::run() {
                         ".tuples_per_sec",
                     static_cast<double>(SS.TuplesDerived) / SS.WallSeconds);
   }
-  // Fold the worker-local profiling tallies into the per-rule totals at a
-  // single-threaded point. Integer sums commute, so the fold order (and
-  // which worker counted what) never shows in the result.
-  if (Profiling)
-    for (size_t W = 0; W != Scratch.size(); ++W)
-      for (size_t RI = 0; RI != RuleProfiles.size(); ++RI) {
-        RuleProfCell &C = Scratch[W].Prof[RI];
-        RuleProfiles[RI].TuplesConsidered += C.Considered;
-        RuleProfiles[RI].Derivations += C.Derivations;
-        RuleProfiles[RI].Matches += C.Matches;
-        RuleProfiles[RI].WallSeconds += C.WallSeconds;
-        C = RuleProfCell();
-      }
 }
 
 void Evaluator::appendPassTasks(std::vector<Task> &Tasks,
@@ -261,9 +202,7 @@ void Evaluator::appendPassTasks(std::vector<Task> &Tasks,
   // construction. The criterion looks only at the body and the snapshot —
   // never at the chosen plan — so the pass set (and with it the
   // RuleEvaluations counters and the "passes" arg of trace round spans) is
-  // identical for every plan mode and thread count. This also fixes the
-  // historical chunking do/while, which emitted one no-op task for an
-  // empty drive range and inflated pass counts.
+  // identical for every plan mode.
   if (DeltaAtom >= 0 && DeltaFrom == DeltaTo)
     return;
   for (const Atom &A : R.Body)
@@ -279,9 +218,8 @@ void Evaluator::appendPassTasks(std::vector<Task> &Tasks,
     RuleProfiles[RuleIdx].EstimatedFanout += Plan.EstimatedFanout;
 
   if (Plan.PositiveOrder.empty()) {
-    // Fact rule: nothing to drive over, one unchunked pass.
-    Tasks.push_back({RuleIdx, DeltaAtom, PlanIdx, 0, 0, /*HasDrive=*/false,
-                     /*FirstChunk=*/true});
+    // Fact rule: nothing to drive over.
+    Tasks.push_back({RuleIdx, DeltaAtom, PlanIdx, 0, 0, /*HasDrive=*/false});
     return;
   }
 
@@ -293,23 +231,8 @@ void Evaluator::appendPassTasks(std::vector<Task> &Tasks,
     DriveFrom = DeltaFrom;
     DriveTo = DeltaTo;
   }
-
-  uint32_t Range = DriveTo - DriveFrom;
-  // Chunk the drive range so each worker sees several chunks (dynamic
-  // scheduling balances uneven join costs), but keep chunks large enough
-  // that per-task overhead stays negligible. Threads == 1 never chunks, so
-  // the sequential engine enumerates exactly as before.
-  uint32_t ChunkSize = Range;
-  if (Threads > 1 && Range > 64)
-    ChunkSize = std::max<uint32_t>(64, (Range + Threads * 4 - 1) /
-                                           (Threads * 4));
-  bool First = true;
-  for (uint32_t From = DriveFrom; From < DriveTo; From += ChunkSize) {
-    Tasks.push_back({RuleIdx, DeltaAtom, PlanIdx, From,
-                     std::min(DriveTo, From + ChunkSize), /*HasDrive=*/true,
-                     First});
-    First = false;
-  }
+  Tasks.push_back(
+      {RuleIdx, DeltaAtom, PlanIdx, DriveFrom, DriveTo, /*HasDrive=*/true});
 }
 
 void Evaluator::runStratum(const Stratum &S, StratumStats &SS) {
@@ -355,7 +278,7 @@ void Evaluator::runStratum(const Stratum &S, StratumStats &SS) {
     RoundSpan.arg("kind", "seed");
     uint64_t TuplesBefore = SS.TuplesDerived;
     uint64_t PassesBefore = SS.RuleEvaluations;
-    executeRound(S, Tasks, Plans, Limit, SS);
+    executeRound(Tasks, Plans, Limit, SS);
     recordPlanMetrics();
     RoundSpan.arg("passes", SS.RuleEvaluations - PassesBefore);
     RoundSpan.arg("tuples", SS.TuplesDerived - TuplesBefore);
@@ -399,7 +322,7 @@ void Evaluator::runStratum(const Stratum &S, StratumStats &SS) {
       RoundSpan.arg("kind", "delta");
       uint64_t TuplesBefore = SS.TuplesDerived;
       uint64_t PassesBefore = SS.RuleEvaluations;
-      executeRound(S, Tasks, Plans, Limit, SS);
+      executeRound(Tasks, Plans, Limit, SS);
       recordPlanMetrics();
       RoundSpan.arg("passes", SS.RuleEvaluations - PassesBefore);
       RoundSpan.arg("tuples", SS.TuplesDerived - TuplesBefore);
@@ -414,243 +337,64 @@ void Evaluator::runStratum(const Stratum &S, StratumStats &SS) {
   }
 }
 
-void Evaluator::executeRound(const Stratum &S, const std::vector<Task> &Tasks,
+void Evaluator::executeRound(const std::vector<Task> &Tasks,
                              const std::vector<JoinPlan> &Plans,
                              const std::vector<uint32_t> &Limit,
                              StratumStats &SS) {
   if (Tasks.empty())
     return;
-  uint64_t Passes = 0;
-  for (const Task &T : Tasks)
-    if (T.FirstChunk)
-      ++Passes;
-  EvalStats.RuleEvaluations += Passes;
-  SS.RuleEvaluations += Passes;
+  EvalStats.RuleEvaluations += Tasks.size();
+  SS.RuleEvaluations += Tasks.size();
 
   if (Profiling) {
     // Per-rule pass and rounds-fired attribution: both derive from the
-    // pass set, which appendPassTasks keeps plan- and thread-invariant.
+    // pass set, which appendPassTasks keeps plan-invariant.
     ++RoundSerial;
-    for (const Task &T : Tasks)
-      if (T.FirstChunk) {
-        RuleProfile &RP = RuleProfiles[T.RuleIdx];
-        ++RP.Passes;
-        if (RuleLastRound[T.RuleIdx] != RoundSerial) {
-          RuleLastRound[T.RuleIdx] = RoundSerial;
-          ++RP.RoundsFired;
-        }
-      }
-  }
-
-  // Harvest the per-worker full-match counters into the registry at the
-  // round barrier. The total is the ground truth the planner's
-  // estimated_fanout histogram is compared against; it is plan- and
-  // thread-invariant (a match is a binding satisfying every atom and guard
-  // over the round's snapshot, independent of enumeration order).
-  auto recordMatches = [&]() {
-    uint64_t Matches = 0;
-    for (size_t W = 0; W != Scratch.size(); ++W) {
-      Matches += Scratch[W].Matches;
-      Scratch[W].Matches = 0;
-    }
-    if (Registry)
-      Registry->observe("datalog.plan.actual_matches",
-                        static_cast<double>(Matches));
-  };
-
-  if (Threads == 1) {
-    // Sequential engine: direct inserts, lazily built indexes — the exact
-    // pre-parallelization behavior.
-    uint64_t Before = EvalStats.TuplesDerived;
     for (const Task &T : Tasks) {
-      if (Profiling) {
-        auto T0 = std::chrono::steady_clock::now();
-        evaluateRule(T.RuleIdx, Plans[T.PlanIdx], T.DeltaAtom, T.DriveFrom,
-                     T.DriveTo, T.HasDrive, Limit,
-                     /*Staging=*/nullptr, Scratch[0]);
-        Scratch[0].Prof[T.RuleIdx].WallSeconds +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          T0)
-                .count();
-      } else {
-        evaluateRule(T.RuleIdx, Plans[T.PlanIdx], T.DeltaAtom, T.DriveFrom,
-                     T.DriveTo, T.HasDrive, Limit,
-                     /*Staging=*/nullptr, Scratch[0]);
+      RuleProfile &RP = RuleProfiles[T.RuleIdx];
+      ++RP.Passes;
+      if (RuleLastRound[T.RuleIdx] != RoundSerial) {
+        RuleLastRound[T.RuleIdx] = RoundSerial;
+        ++RP.RoundsFired;
       }
     }
-    SS.TuplesDerived += EvalStats.TuplesDerived - Before;
-    recordMatches();
-    return;
   }
 
-  // Parallel round. Workers must not mutate relations, so build every index
-  // the join plans can touch up front (the drive position of a delta pass
-  // is scanned, not indexed — same as the sequential engine).
+  uint64_t Before = EvalStats.TuplesDerived;
   for (const Task &T : Tasks) {
-    if (!T.FirstChunk)
-      continue;
-    const Rule &R = Rules.rules()[T.RuleIdx];
-    const JoinPlan &Plan = Plans[T.PlanIdx];
-    for (size_t Pos = 0; Pos != Plan.PositiveOrder.size(); ++Pos) {
-      if (Plan.BoundColumns[Pos].empty())
-        continue;
-      if (Pos == 0 && T.DeltaAtom >= 0)
-        continue;
-      const Atom &A = R.Body[Plan.PositiveOrder[Pos]];
-      DB.relation(A.Rel).ensureIndex(Plan.BoundColumns[Pos]);
+    if (Profiling) {
+      auto T0 = std::chrono::steady_clock::now();
+      evaluateRule(T.RuleIdx, Plans[T.PlanIdx], T.DeltaAtom, T.DriveFrom,
+                   T.DriveTo, T.HasDrive, Limit);
+      RuleProfiles[T.RuleIdx].WallSeconds +=
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        T0)
+              .count();
+    } else {
+      evaluateRule(T.RuleIdx, Plans[T.PlanIdx], T.DeltaAtom, T.DriveFrom,
+                   T.DriveTo, T.HasDrive, Limit);
     }
   }
+  SS.TuplesDerived += EvalStats.TuplesDerived - Before;
 
-  for (size_t W = 0; W != Threads; ++W)
-    Staging[W].beginRound(DB.relationCount());
-
-  auto BatchStart = std::chrono::steady_clock::now();
-  double Busy;
-  {
-    observe::Span ExecuteSpan(Trace, "execute", observe::Tracer::WorkerCategory);
-    ExecuteSpan.arg("tasks", Tasks.size());
-    Busy = Pool->runBatch(
-        static_cast<uint32_t>(Tasks.size()),
-        [&](uint32_t TaskIdx, unsigned Worker) {
-          const Task &T = Tasks[TaskIdx];
-          if (Profiling) {
-            auto T0 = std::chrono::steady_clock::now();
-            evaluateRule(T.RuleIdx, Plans[T.PlanIdx], T.DeltaAtom,
-                         T.DriveFrom, T.DriveTo, T.HasDrive, Limit,
-                         &Staging[Worker], Scratch[Worker]);
-            Scratch[Worker].Prof[T.RuleIdx].WallSeconds +=
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - T0)
-                    .count();
-          } else {
-            evaluateRule(T.RuleIdx, Plans[T.PlanIdx], T.DeltaAtom,
-                         T.DriveFrom, T.DriveTo, T.HasDrive, Limit,
-                         &Staging[Worker], Scratch[Worker]);
-          }
-        });
-  }
-  recordMatches();
-  SS.WorkerBusySeconds += Busy;
-  if (Registry) {
-    double BatchWall = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - BatchStart)
-                           .count();
-    Registry->add("datalog.worker_idle_seconds",
-                  std::max(0.0, BatchWall * Threads - Busy));
-    size_t StagingBytes = 0;
-    for (size_t W = 0; W != Staging.size(); ++W)
-      StagingBytes += Staging[W].bytes();
-    Registry->set("datalog.staging_bytes",
-                  static_cast<double>(StagingBytes));
-  }
-
-  uint64_t NewTuples = mergeStaging(S);
-  EvalStats.TuplesDerived += NewTuples;
-  SS.TuplesDerived += NewTuples;
-}
-
-uint64_t Evaluator::mergeStaging(const Stratum &S) {
-  uint64_t NewTuples = 0;
-  std::vector<Symbol> Concat;
-  std::vector<uint32_t> Order;
-  std::vector<uint32_t> ProvRule, ProvBegin, ProvRefs; // observer mode only
-  // MemberRels is ascending, so the merge visits relations in a fixed
-  // order; within a relation, staged tuples are sorted lexicographically.
-  // Insertion order is therefore independent of worker scheduling.
-  for (uint32_t Rel : S.MemberRels) {
-    Concat.clear();
-    if (Observer) {
-      ProvRule.clear();
-      ProvBegin.clear();
-      ProvRefs.clear();
-    }
-    for (size_t W = 0; W != Staging.size(); ++W) {
-      const std::vector<Symbol> &B = Staging[W].buffer(Rel);
-      Concat.insert(Concat.end(), B.begin(), B.end());
-      if (Observer) {
-        const StagingArena::ProvBuffer &PB = Staging[W].prov(Rel);
-        uint32_t Rebase = static_cast<uint32_t>(ProvRefs.size());
-        for (size_t K = 0; K != PB.Rule.size(); ++K) {
-          ProvRule.push_back(PB.Rule[K]);
-          ProvBegin.push_back(PB.RefBegin[K] + Rebase);
-        }
-        ProvRefs.insert(ProvRefs.end(), PB.Refs.begin(), PB.Refs.end());
-      }
-    }
-    if (Concat.empty())
-      continue;
-    Relation &R = DB.relation(RelationId(Rel));
-    uint32_t Arity = R.arity();
-    uint32_t Count = static_cast<uint32_t>(Concat.size() / Arity);
-    // Merge segments are performance detail (staged counts vary with worker
-    // scheduling), hence worker-category.
-    observe::Span MergeSpan;
-    if (Trace) {
-      MergeSpan = observe::Span(Trace, "merge:" + R.name(),
-                                observe::Tracer::WorkerCategory);
-      MergeSpan.arg("staged", Count);
-    }
-    Order.resize(Count);
-    for (uint32_t I = 0; I != Count; ++I)
-      Order[I] = I;
-    TupleLess ByContent{Concat.data(), Arity};
-    if (!Observer) {
-      std::sort(Order.begin(), Order.end(), ByContent);
-      for (uint32_t I : Order)
-        if (R.insert(std::span<const Symbol>(&Concat[size_t(I) * Arity],
-                                             Arity)))
-          ++NewTuples;
-      continue;
-    }
-
-    // Observer mode: sort groups of identical tuples by (rule, witness
-    // refs) so the first entry of each group is its round-canonical
-    // derivation regardless of which workers staged what. Distinct tuples
-    // keep the exact content order of the fast path above, so relation
-    // contents and dense ordering are unchanged by recording.
-    std::sort(Order.begin(), Order.end(), [&](uint32_t Lhs, uint32_t Rhs) {
-      if (ByContent(Lhs, Rhs))
-        return true;
-      if (ByContent(Rhs, Lhs))
-        return false;
-      if (ProvRule[Lhs] != ProvRule[Rhs])
-        return ProvRule[Lhs] < ProvRule[Rhs];
-      uint32_t Refs = PositiveArity[ProvRule[Lhs]];
-      for (uint32_t C = 0; C != Refs; ++C) {
-        uint32_t A = ProvRefs[ProvBegin[Lhs] + C];
-        uint32_t B = ProvRefs[ProvBegin[Rhs] + C];
-        if (A != B)
-          return A < B;
-      }
-      return false;
-    });
-    // Every staged tuple was absent at the round barrier (`emitHead`
-    // checks), so the first entry of each content group inserts and the
-    // rest resolve to the same dense index.
-    uint32_t GroupIndex = Relation::NoTuple;
-    for (uint32_t I : Order) {
-      std::span<const Symbol> T(&Concat[size_t(I) * Arity], Arity);
-      if (R.insert(T)) {
-        ++NewTuples;
-        GroupIndex = R.size() - 1;
-      }
-      Observer->onDerivation(
-          Rel, GroupIndex, ProvRule[I],
-          std::span<const uint32_t>(ProvRefs.data() + ProvBegin[I],
-                                    PositiveArity[ProvRule[I]]));
-    }
-  }
-  return NewTuples;
+  // The round's full-match total is the ground truth the planner's
+  // estimated_fanout histogram is compared against; it is plan-invariant
+  // (a match is a binding satisfying every atom and guard over the round's
+  // snapshot, independent of enumeration order).
+  if (Registry)
+    Registry->observe("datalog.plan.actual_matches",
+                      static_cast<double>(Scratch.Matches));
+  Scratch.Matches = 0;
 }
 
 void Evaluator::evaluateRule(uint32_t RuleIdx, const JoinPlan &Plan,
                              int DeltaAtom, uint32_t DriveFrom,
                              uint32_t DriveTo, bool HasDrive,
-                             const std::vector<uint32_t> &Limit,
-                             StagingArena *Staging, JoinScratch &S) {
+                             const std::vector<uint32_t> &Limit) {
   const Rule &R = Rules.rules()[RuleIdx];
-  // All join state lives in the worker's scratch slot; buffers only grow,
-  // so steady-state passes allocate nothing inside the join loops.
+  JoinScratch &S = Scratch;
+  // All join state lives in the scratch; buffers only grow, so
+  // steady-state passes allocate nothing inside the join loops.
   if (S.Bindings.size() < R.VariableCount) {
     S.Bindings.resize(R.VariableCount);
     S.BoundFlags.resize(R.VariableCount);
@@ -699,7 +443,7 @@ void Evaluator::evaluateRule(uint32_t RuleIdx, const JoinPlan &Plan,
 
   // Profiling: matches whose head tuple was absent at the round barrier —
   // exactly the provenance-candidate criterion, so the count is identical
-  // in sequential and staged mode (and at any thread count / plan mode).
+  // in every plan mode.
   uint64_t ProfDerived = 0;
   uint64_t MatchesAtStart = S.Matches;
 
@@ -707,20 +451,6 @@ void Evaluator::evaluateRule(uint32_t RuleIdx, const JoinPlan &Plan,
     S.Tuple.clear();
     for (const Term &T : R.Head.Terms)
       S.Tuple.push_back(valueOf(T));
-    if (Staging) {
-      // Parallel mode: stage for the barrier merge. Duplicates (within the
-      // round or against existing tuples) are eliminated there; skipping
-      // already-present tuples here just keeps the buffers small — the head
-      // relation is frozen during the round, so `contains` is a safe
-      // concurrent read.
-      if (!DB.relation(R.Head.Rel).contains(S.Tuple)) {
-        ++ProfDerived;
-        Staging->emit(R.Head.Rel.index(), S.Tuple);
-        if (Observer)
-          Staging->emitProv(R.Head.Rel.index(), RuleIdx, gatherRefs());
-      }
-      return;
-    }
     Relation &Head = DB.relation(R.Head.Rel);
     if (Head.insert(S.Tuple)) {
       ++EvalStats.TuplesDerived;
@@ -771,9 +501,9 @@ void Evaluator::evaluateRule(uint32_t RuleIdx, const JoinPlan &Plan,
     Relation &Rel = DB.relation(A.Rel);
     uint32_t RelIdx = A.Rel.index();
 
-    // The drive atom (plan position 0) ranges over its task chunk — the
-    // delta range for a delta pass, the snapshot for a seed pass. Everything
-    // else is capped at the round's snapshot.
+    // The drive atom (plan position 0) ranges over the task's drive range —
+    // the delta range for a delta pass, the snapshot for a seed pass.
+    // Everything else is capped at the round's snapshot.
     uint32_t From = 0, To = Limit[RelIdx];
     if (Pos == 0 && HasDrive) {
       From = DriveFrom;
@@ -829,33 +559,23 @@ void Evaluator::evaluateRule(uint32_t RuleIdx, const JoinPlan &Plan,
         const Term &T = A.Terms[Col];
         S.Key.push_back(T.isConstant() ? T.Value : S.Bindings[T.VarIndex]);
       }
-      const std::vector<uint32_t> *Postings;
-      if (Staging) {
-        // Parallel mode: read-only lookup against the prebuilt index; a
-        // missing index (defensive — executeRound prebuilds all of them)
-        // falls back to the scan below.
-        Postings = Rel.lookupPrebuilt(BoundCols, S.Key);
-      } else {
-        Postings = &Rel.lookup(BoundCols, S.Key);
-      }
-      if (Postings) {
-        // Walk the postings by position, not iterator: in sequential mode a
-        // recursive rule can insert into the very postings list being
-        // walked (head relation == this indexed body relation, equal key),
-        // and push_back may reallocate the buffer under an iterator.
-        // Entries below the precomputed end never move — postings are
-        // appended in ascending dense order and tuples inserted mid-round
-        // sit at or past `Limit`, beyond the `To` bound.
-        size_t PBegin = static_cast<size_t>(
-            std::lower_bound(Postings->begin(), Postings->end(), From) -
-            Postings->begin());
-        size_t PEnd = static_cast<size_t>(
-            std::lower_bound(Postings->begin(), Postings->end(), To) -
-            Postings->begin());
-        for (size_t K = PBegin; K != PEnd; ++K)
-          tryTuple((*Postings)[K]);
-        return;
-      }
+      const std::vector<uint32_t> &Postings = Rel.lookup(BoundCols, S.Key);
+      // Walk the postings by position, not iterator: a recursive rule can
+      // insert into the very postings list being walked (head relation ==
+      // this indexed body relation, equal key), and push_back may
+      // reallocate the buffer under an iterator. Entries below the
+      // precomputed end never move — postings are appended in ascending
+      // dense order and tuples inserted mid-round sit at or past `Limit`,
+      // beyond the `To` bound.
+      size_t PBegin = static_cast<size_t>(
+          std::lower_bound(Postings.begin(), Postings.end(), From) -
+          Postings.begin());
+      size_t PEnd = static_cast<size_t>(
+          std::lower_bound(Postings.begin(), Postings.end(), To) -
+          Postings.begin());
+      for (size_t K = PBegin; K != PEnd; ++K)
+        tryTuple(Postings[K]);
+      return;
     }
     for (uint32_t TupleIdx = From; TupleIdx < To; ++TupleIdx)
       tryTuple(TupleIdx);
@@ -865,9 +585,9 @@ void Evaluator::evaluateRule(uint32_t RuleIdx, const JoinPlan &Plan,
     match(match, 0);
 
   if (Profiling) {
-    RuleProfCell &C = S.Prof[RuleIdx];
-    C.Considered += HasDrive ? uint64_t(DriveTo - DriveFrom) : 1;
-    C.Derivations += ProfDerived;
-    C.Matches += S.Matches - MatchesAtStart;
+    RuleProfile &RP = RuleProfiles[RuleIdx];
+    RP.TuplesConsidered += HasDrive ? uint64_t(DriveTo - DriveFrom) : 1;
+    RP.Derivations += ProfDerived;
+    RP.Matches += S.Matches - MatchesAtStart;
   }
 }

@@ -124,9 +124,7 @@ struct PlanContext {
 /// columns of each atom are bound when the join reaches it is fully
 /// determined by that order: a variable is bound iff it occurred in an
 /// earlier atom of the plan. Precomputing the bound column sets lets the
-/// evaluator (a) skip per-tuple rediscovery and (b) build every column
-/// index a pass will need *before* fanning the pass out across workers, so
-/// the parallel join phase reads relations without mutating them.
+/// evaluator skip per-tuple rediscovery.
 ///
 /// Constraints and negated atoms are *guards*: pure checks over bound
 /// variables. The plan assigns each guard to a slot `k` in

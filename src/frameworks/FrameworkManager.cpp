@@ -20,10 +20,8 @@ using jackee::datalog::RelationId;
 
 FrameworkManager::FrameworkManager(Program &P, datalog::Database &DB,
                                    MockPolicyOptions Options,
-                                   unsigned DatalogThreads,
                                    datalog::PlanMode Plan)
-    : P(P), DB(DB), Options(Options), DatalogThreads(DatalogThreads),
-      Plan(Plan), Facts(DB) {
+    : P(P), DB(DB), Options(Options), Plan(Plan), Facts(DB) {
   std::string Err = addRules("vocabulary.dl", VOCABULARY);
   assert(Err.empty() && "vocabulary must parse");
   (void)Err;
@@ -130,8 +128,7 @@ std::string FrameworkManager::prepare() {
     XmlSpan.arg("file", FileName);
     Facts.extractXml(Doc, FileName);
   }
-  Eval = std::make_unique<datalog::Evaluator>(DB, Rules, DatalogThreads,
-                                              Plan);
+  Eval = std::make_unique<datalog::Evaluator>(DB, Rules, Plan);
   if (std::string Err = Eval->validate(); !Err.empty())
     return Err;
   Eval->setObserver(Provenance);

@@ -59,13 +59,11 @@ struct MockPolicyOptions {
 class FrameworkManager : public pointsto::Plugin {
 public:
   /// \p P is mutated (synthetic bean/mock objects are added). \p DB must
-  /// share P's symbol table. \p DatalogThreads is forwarded to the Datalog
-  /// evaluator (0 = `JACKEE_THREADS` env var / hardware concurrency, 1 =
-  /// sequential), as is \p Plan (`Auto` = `JACKEE_PLAN` env var / greedy
-  /// cost-guided join ordering — see `datalog::PlanMode`).
+  /// share P's symbol table. \p Plan is forwarded to the Datalog evaluator
+  /// (`Auto` = `JACKEE_PLAN` env var / greedy cost-guided join ordering —
+  /// see `datalog::PlanMode`).
   FrameworkManager(ir::Program &P, datalog::Database &DB,
                    MockPolicyOptions Options = {},
-                   unsigned DatalogThreads = 0,
                    datalog::PlanMode Plan = datalog::PlanMode::Auto);
 
   /// Registers framework-model rule text. \returns an empty string on
@@ -236,7 +234,6 @@ private:
   ir::Program &P;
   datalog::Database &DB;
   MockPolicyOptions Options;
-  unsigned DatalogThreads;
   datalog::PlanMode Plan;
   datalog::RuleSet Rules;
   std::unique_ptr<datalog::Evaluator> Eval;

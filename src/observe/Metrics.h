@@ -8,9 +8,10 @@
 /// A named metrics registry for memory/throughput observability: counters
 /// (monotone sums), gauges (last-write values), and power-of-two histograms
 /// (count/sum/min/max plus bucket-resolution p50/p95). Producers across the
-/// pipeline — the Datalog evaluator (round delta sizes, staging-arena
-/// bytes, worker idle time), the session driver (relation-store bytes, peak
-/// RSS, per-stratum throughput) — record under dotted names
+/// pipeline — the Datalog evaluator (round delta sizes, join-plan
+/// histograms), the points-to solver (rounds, work items), the session
+/// driver (relation-store bytes, peak RSS, per-stratum throughput) — record
+/// under dotted names
 /// (`datalog.round_delta_tuples`); `snapshot()` flattens everything into
 /// sorted (name, value) samples that `core::Metrics::Observed` carries into
 /// `metricsToJson`, so every bench and the matrix driver export the

@@ -30,7 +30,7 @@ std::string fmtF(double V) {
 }
 
 /// Right-aligns numeric columns to their widest row; the last column is
-/// free-form text (same idiom as `core::evaluatorStatsReport`).
+/// free-form text.
 class Table {
 public:
   explicit Table(std::vector<std::string> Header) : Rows{std::move(Header)} {}

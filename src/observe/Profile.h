@@ -24,11 +24,11 @@
 ///     write through, so long corpus runs are observable in flight.
 ///
 /// **Determinism contract.** Every field is classified as either
-/// *deterministic* — bit-identical at any `JACKEE_THREADS` /
-/// `JACKEE_SOLVER_THREADS` setting and under both join-plan modes — or
-/// *volatile* (wall time, RSS, capacity-derived bytes, plan-dependent
-/// planner numbers). `renderProfileText` emits only deterministic fields,
-/// so the text report byte-diffs across the whole thread × plan grid;
+/// *deterministic* — bit-identical at any `JACKEE_SOLVER_THREADS` setting
+/// and under both join-plan modes — or *volatile* (wall time, RSS,
+/// capacity-derived bytes, plan-dependent planner numbers).
+/// `renderProfileText` emits only deterministic fields, so the text report
+/// byte-diffs across the whole thread × plan grid;
 /// `profileToJson` emits everything, with volatile keys named so
 /// `scripts/profile_report.py` can threshold instead of exact-compare
 /// them (`*_seconds`, `*_rss_*`, `*_approx`, `tuples_considered`,
@@ -60,13 +60,12 @@ namespace observe {
 struct ProfileRule {
   std::string Name;   ///< head relation name + per-head ordinal ("VPT#2")
   std::string Origin; ///< rule-text provenance ("spring.dl", "vocabulary.dl")
-  // Deterministic (thread- and plan-invariant; see Evaluator.h).
+  // Deterministic (plan-invariant; see Evaluator.h).
   uint64_t Passes = 0;      ///< rule x delta evaluation passes emitted
   uint64_t RoundsFired = 0; ///< rounds with at least one pass for the rule
   uint64_t Derivations = 0; ///< matches deriving a barrier-fresh head tuple
   uint64_t Matches = 0;     ///< full join matches (planner "actual")
-  // Schedule-dependent (vary with plan mode and worker count — the
-  // sequential and staged engines scan different drive ranges).
+  // Plan-dependent (the planner picks each pass's drive atom).
   uint64_t TuplesConsidered = 0; ///< drive-range tuples scanned
   double EstimatedFanout = 0;    ///< planner estimate, summed over passes
   // Volatile.

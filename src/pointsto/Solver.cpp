@@ -23,9 +23,8 @@ const std::vector<NodeId> Solver::NoInstances;
 
 namespace {
 
-/// Resolves `SolverConfig::Threads == 0` the same way the Datalog evaluator
-/// resolves `JACKEE_THREADS`: environment variable first, then the
-/// hardware, clamped to [1, 256].
+/// Resolves `SolverConfig::Threads == 0`: the `JACKEE_SOLVER_THREADS`
+/// environment variable first, then the hardware, clamped to [1, 256].
 unsigned resolveSolverThreads(unsigned Requested) {
   return env::resolveWorkerCount(Requested, "JACKEE_SOLVER_THREADS");
 }

@@ -13,7 +13,6 @@
 /// where the default for worker counts is `hardware_concurrency` clamped
 /// to [1, 256]. Variables and their consumers:
 ///
-///   JACKEE_THREADS         Datalog evaluator workers   (datalog::Evaluator)
 ///   JACKEE_SOLVER_THREADS  points-to solver workers    (pointsto::Solver)
 ///   JACKEE_JOBS            analysis-cell matrix workers (core::AnalysisSession)
 ///   JACKEE_PLAN            join-plan mode               (datalog::resolvePlanMode)

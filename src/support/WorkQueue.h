@@ -6,14 +6,11 @@
 ///
 /// \file
 /// A small fixed-size worker pool (`std::jthread`) executing batches of
-/// dynamically scheduled tasks. Built for the Datalog evaluator's semi-naive
-/// rounds: each round submits one batch of rule×delta(×chunk) tasks and
+/// dynamically scheduled tasks: the points-to solver's sharded rounds and
+/// the session's analysis-cell matrix. Each caller submits one batch and
 /// blocks at the barrier until every task finished. Workers pull task
 /// indexes from a shared atomic cursor (work stealing by over-partitioning),
 /// so uneven task costs balance without per-task locking.
-///
-/// The pool reports per-batch worker busy time so callers can compute
-/// utilization (busy / (wall × workers)).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +19,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -68,15 +64,13 @@ public:
 
   /// Runs \p Fn for every task index in `[0, TaskCount)` across the pool and
   /// blocks until all tasks completed (the round barrier).
-  /// \returns the summed worker busy seconds for this batch.
-  double runBatch(uint32_t TaskCount, const TaskFn &Fn) {
+  void runBatch(uint32_t TaskCount, const TaskFn &Fn) {
     if (TaskCount == 0)
-      return 0.0;
+      return;
     std::unique_lock<std::mutex> Lock(Mutex);
     BatchFn = &Fn;
     BatchTaskCount = TaskCount;
     NextTask.store(0, std::memory_order_relaxed);
-    BatchBusySeconds = 0.0;
     WorkersRemaining = workerCount();
     ++Generation;
     Lock.unlock();
@@ -85,7 +79,6 @@ public:
     Lock.lock();
     BatchDone.wait(Lock, [this] { return WorkersRemaining == 0; });
     BatchFn = nullptr;
-    return BatchBusySeconds;
   }
 
 private:
@@ -105,19 +98,14 @@ private:
         Count = BatchTaskCount;
       }
 
-      auto Start = std::chrono::steady_clock::now();
       while (true) {
         uint32_t Task = NextTask.fetch_add(1, std::memory_order_relaxed);
         if (Task >= Count)
           break;
         (*Fn)(Task, WorkerIndex);
       }
-      double Busy = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - Start)
-                        .count();
 
       std::unique_lock<std::mutex> Lock(Mutex);
-      BatchBusySeconds += Busy;
       if (--WorkersRemaining == 0) {
         Lock.unlock();
         BatchDone.notify_all();
@@ -133,7 +121,6 @@ private:
   uint32_t BatchTaskCount = 0;
   std::atomic<uint32_t> NextTask{0};
   unsigned WorkersRemaining = 0;
-  double BatchBusySeconds = 0.0;
   std::vector<std::jthread> Threads;
 };
 

@@ -120,29 +120,6 @@ TEST(PipelineRunTest, JavaUtilShareConsistency) {
   EXPECT_LE(M.VptTuplesJavaUtil, M.VptTuplesTotal);
 }
 
-TEST(PipelineRunTest, ThreadCountDoesNotChangeResults) {
-  PipelineOptions Seq, Par;
-  Seq.DatalogThreads = 1;
-  Par.DatalogThreads = 8;
-  Metrics A = runAnalysis(tinyApp(), AnalysisKind::Mod2ObjH, {}, Seq).value();
-  Metrics B = runAnalysis(tinyApp(), AnalysisKind::Mod2ObjH, {}, Par).value();
-  EXPECT_EQ(A.DatalogThreads, 1u);
-  EXPECT_EQ(B.DatalogThreads, 8u);
-  // The parallel Datalog engine must be observationally identical: every
-  // analysis-result metric matches, down to the tuple counts.
-  EXPECT_EQ(A.AppReachableMethods, B.AppReachableMethods);
-  EXPECT_EQ(A.CallGraphEdges, B.CallGraphEdges);
-  EXPECT_EQ(A.AppPolyVCalls, B.AppPolyVCalls);
-  EXPECT_EQ(A.AppMayFailCasts, B.AppMayFailCasts);
-  EXPECT_EQ(A.VptTuplesTotal, B.VptTuplesTotal);
-  EXPECT_EQ(A.VptTuplesJavaUtil, B.VptTuplesJavaUtil);
-  EXPECT_EQ(A.BeansCreated, B.BeansCreated);
-  EXPECT_EQ(A.InjectionsApplied, B.InjectionsApplied);
-  EXPECT_EQ(A.EntryPointsExercised, B.EntryPointsExercised);
-  EXPECT_EQ(A.DatalogTuplesDerived, B.DatalogTuplesDerived);
-  EXPECT_EQ(A.DatalogStrata, B.DatalogStrata);
-}
-
 TEST(PipelineRunTest, MainClassEntry) {
   Application Desktop = synth::dacapoLikeApp();
   Metrics M = runAnalysis(Desktop, AnalysisKind::CI).value();

@@ -250,7 +250,6 @@ class IncrementalDifferential
 
 TEST_P(IncrementalDifferential, RandomEditSequenceMatchesFromScratch) {
   auto [Seed, Threads] = GetParam();
-  EnvGuard DatalogEnv("JACKEE_THREADS", std::to_string(Threads));
   EnvGuard SolverEnv("JACKEE_SOLVER_THREADS", std::to_string(Threads));
   std::mt19937 Rng(Seed);
   runDifferential(Rng, /*Edits=*/5);

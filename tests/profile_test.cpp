@@ -4,8 +4,8 @@
 //
 // Covers the deep profiler (observe/Profile.h, DESIGN.md §14) end to end:
 // the headline invariance sweep (the text report and the volatile-stripped
-// JSON of a full session are byte-identical across thread counts and
-// join-plan modes), evaluator rule counters on a tiny program, census
+// JSON of a full session are byte-identical across solver thread counts
+// and join-plan modes), evaluator rule counters on a tiny program, census
 // correctness on a hand-built solver fixture with known shared sets, the
 // EventSink's seq ordering and buffer-to-file handoff, and the
 // disabled-by-default / JACKEE_PROFILE enablement contract.
@@ -67,12 +67,11 @@ std::string stripVolatile(std::string Json) {
 }
 
 /// One profiled WebGoat/CI cell at the given engine settings.
-std::shared_ptr<const Profile> profiledCell(unsigned Threads,
+std::shared_ptr<const Profile> profiledCell(unsigned SolverThreads,
                                             datalog::PlanMode Plan) {
   SessionOptions SO;
   SO.Jobs = 1;
-  SO.DatalogThreads = Threads;
-  SO.SolverThreads = Threads;
+  SO.SolverThreads = SolverThreads;
   SO.Plan = Plan;
   SO.Profile = true;
   AnalysisSession Session(SO);
@@ -89,7 +88,7 @@ std::shared_ptr<const Profile> profiledCell(unsigned Threads,
 TEST(ProfileInvarianceSweep, ReportIdenticalAcrossThreadsAndPlans) {
   // The acceptance criterion of DESIGN.md §14: the text report is
   // bit-identical — and the JSON identical minus volatile fields — across
-  // threads {1,2,8} x plan modes {textual,greedy}.
+  // solver threads {1,2,8} x plan modes {textual,greedy}.
   std::shared_ptr<const Profile> Base =
       profiledCell(1, datalog::PlanMode::Textual);
   ASSERT_NE(Base, nullptr);
@@ -152,7 +151,7 @@ TEST(EvaluatorProfileTest, CountersOnTinyProgram) {
   for (const char *V : {"v1", "v2", "v3"})
     DB.insertFact("a", {V});
 
-  datalog::Evaluator Eval(DB, Rules, 1);
+  datalog::Evaluator Eval(DB, Rules);
   EXPECT_FALSE(Eval.ruleProfilingEnabled());
   Eval.enableRuleProfiling();
   ASSERT_TRUE(Eval.ruleProfilingEnabled());
@@ -178,16 +177,16 @@ TEST(EvaluatorProfileTest, DisabledKeepsNoProfiles) {
                       "b(x) :- a(x).\n",
                       "test");
   DB.insertFact("a", {"v"});
-  datalog::Evaluator Eval(DB, Rules, 1);
+  datalog::Evaluator Eval(DB, Rules);
   Eval.run();
   EXPECT_TRUE(Eval.ruleProfiles().empty());
 }
 
-TEST(EvaluatorProfileTest, DeterministicCountersMatchAcrossThreadsAndPlans) {
+TEST(EvaluatorProfileTest, DeterministicCountersMatchAcrossPlans) {
   // Transitive closure on a small random graph: derivations and matches
   // per rule are engine invariants; only the plan-dependent "considered"
   // and fanout columns may move.
-  auto countersFor = [](unsigned Threads, datalog::PlanMode Plan) {
+  auto countersFor = [](datalog::PlanMode Plan) {
     SymbolTable Symbols;
     datalog::Database DB(Symbols);
     datalog::RuleSet Rules;
@@ -205,7 +204,7 @@ TEST(EvaluatorProfileTest, DeterministicCountersMatchAcrossThreadsAndPlans) {
       DB.insertFact("edge", {"n" + std::to_string(Rng % 48),
                              "n" + std::to_string((Rng >> 8) % 48)});
     }
-    datalog::Evaluator Eval(DB, Rules, Threads, Plan);
+    datalog::Evaluator Eval(DB, Rules, Plan);
     Eval.enableRuleProfiling();
     Eval.run();
     std::vector<std::pair<uint64_t, uint64_t>> Counters;
@@ -213,15 +212,11 @@ TEST(EvaluatorProfileTest, DeterministicCountersMatchAcrossThreadsAndPlans) {
       Counters.push_back({RP.Derivations, RP.Matches});
     return Counters;
   };
-  auto Base = countersFor(1, datalog::PlanMode::Textual);
+  auto Base = countersFor(datalog::PlanMode::Textual);
   ASSERT_EQ(Base.size(), 2u);
   EXPECT_GT(Base[0].first, 0u);
   EXPECT_GT(Base[1].first, 0u);
-  for (unsigned Threads : {2u, 8u})
-    for (datalog::PlanMode Plan :
-         {datalog::PlanMode::Textual, datalog::PlanMode::Greedy})
-      EXPECT_EQ(Base, countersFor(Threads, Plan))
-          << "threads=" << Threads << " plan=" << int(Plan);
+  EXPECT_EQ(Base, countersFor(datalog::PlanMode::Greedy));
 }
 
 //===----------------------------------------------------------------------===//

@@ -54,13 +54,13 @@ struct RecordedRun {
 
   RecordedRun(const char *RuleText, const char *Origin,
               const std::function<void(Database &)> &LoadFacts,
-              unsigned Threads = 1, const char *Epoch = "base")
+              const char *Epoch = "base")
       : DB(Symbols), Recorder(DB, Rules) {
     ParserResult PR = parseRules(DB, Rules, RuleText, Origin);
     EXPECT_TRUE(PR.Ok) << PR.Error;
     Recorder.beginEpoch(Epoch);
     LoadFacts(DB);
-    Eval = std::make_unique<Evaluator>(DB, Rules, Threads);
+    Eval = std::make_unique<Evaluator>(DB, Rules);
     EXPECT_EQ(Eval->validate(), "");
     Eval->setObserver(&Recorder);
     Eval->run();
@@ -167,29 +167,25 @@ TEST(Recorder, WitnessRefsAreBodyOrderAndCompose) {
 
 TEST(Recorder, CanonicalDerivationIsLeastRuleThenLeastRefs) {
   // Both rules derive out("v") in the same round; the canonical record must
-  // be the lexicographically least candidate — rule 0 — at any thread
-  // count, regardless of evaluation order.
+  // be the lexicographically least candidate — rule 0 — regardless of
+  // evaluation order.
   const char *Rules = ".decl a(x: symbol)\n"
                       ".decl b(x: symbol)\n"
                       ".decl out(x: symbol)\n"
                       "out(x) :- a(x).\n"
                       "out(x) :- b(x).\n";
-  for (unsigned Threads : {1u, 2u, 8u}) {
-    RecordedRun R(Rules, "test.dl",
-                  [](Database &DB) {
-                    DB.insertFact("a", {"v"});
-                    DB.insertFact("b", {"v"});
-                  },
-                  Threads);
-    const Relation &Out = R.DB.relation(R.DB.find("out"));
-    ASSERT_EQ(Out.size(), 1u);
-    const ProvenanceRecorder::Record *Rec =
-        R.Recorder.derivationOf(R.rel("out"), 0);
-    ASSERT_NE(Rec, nullptr);
-    EXPECT_EQ(Rec->RuleIdx, 0u) << "thread count " << Threads;
-    EXPECT_EQ(R.Recorder.stats().CandidatesSeen, 2u);
-    EXPECT_EQ(R.Recorder.stats().TuplesRecorded, 1u);
-  }
+  RecordedRun R(Rules, "test.dl", [](Database &DB) {
+    DB.insertFact("a", {"v"});
+    DB.insertFact("b", {"v"});
+  });
+  const Relation &Out = R.DB.relation(R.DB.find("out"));
+  ASSERT_EQ(Out.size(), 1u);
+  const ProvenanceRecorder::Record *Rec =
+      R.Recorder.derivationOf(R.rel("out"), 0);
+  ASSERT_NE(Rec, nullptr);
+  EXPECT_EQ(Rec->RuleIdx, 0u);
+  EXPECT_EQ(R.Recorder.stats().CandidatesSeen, 2u);
+  EXPECT_EQ(R.Recorder.stats().TuplesRecorded, 1u);
 }
 
 TEST(Recorder, EpochWatermarksAttributeBaseFacts) {
@@ -253,8 +249,7 @@ TEST(Recorder, RerunFreezesExistingRecords) {
 
 TEST(Explain, TreeBottomsOutInBaseFactsWithOrigins) {
   RecordedRun R(TransitiveClosureRules, "myframework.dl",
-                [](Database &DB) { loadChain(DB, 4); },
-                /*Threads=*/1, /*Epoch=*/"extraction");
+                [](Database &DB) { loadChain(DB, 4); }, /*Epoch=*/"extraction");
   Explainer Ex(R.DB, R.Rules, R.Recorder);
 
   std::string Error;

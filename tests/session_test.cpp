@@ -70,7 +70,6 @@ TEST(SnapshotCacheTest, MemoizedImageMatchesPerCellImage) {
 
   SessionOptions Memoized;
   Memoized.Jobs = 1;
-  Memoized.DatalogThreads = 1;
   Memoized.SnapshotCache = true;
   SessionOptions PerCell = Memoized;
   PerCell.SnapshotCache = false;
@@ -94,14 +93,10 @@ TEST(SnapshotCacheTest, MemoizedImageMatchesPerCellImage) {
 
 TEST(SnapshotCacheTest, RunAnalysisWrapperMatchesSession) {
   Application App = synth::applicationFor(synth::BenchApp::Pybbs);
-  PipelineOptions PO;
-  PO.DatalogThreads = 1;
-  Metrics Wrapper =
-      runAnalysis(App, AnalysisKind::Mod2ObjH, {}, PO).value();
+  Metrics Wrapper = runAnalysis(App, AnalysisKind::Mod2ObjH).value();
 
   SessionOptions SO;
   SO.Jobs = 1;
-  SO.DatalogThreads = 1;
   AnalysisSession Session(SO);
   AnalysisResult Cell = Session.run(App, AnalysisKind::Mod2ObjH);
   ASSERT_TRUE(Cell.ok());
@@ -118,7 +113,6 @@ TEST(MatrixTest, CacheHitAccountingIsDeterministic) {
   for (unsigned Jobs : {1u, 4u}) {
     SessionOptions SO;
     SO.Jobs = Jobs;
-    SO.DatalogThreads = 1;
     AnalysisSession Session(SO);
     std::vector<AnalysisResult> Results = Session.runMatrix(Apps, Kinds);
     ASSERT_EQ(Results.size(), 6u);
@@ -151,7 +145,6 @@ TEST_P(MatrixDeterminismSweep, ParallelMatchesSequential) {
 
   SessionOptions Seq;
   Seq.Jobs = 1;
-  Seq.DatalogThreads = 1;
   SessionOptions Par = Seq;
   Par.Jobs = Jobs;
 
@@ -249,7 +242,6 @@ TEST(MatrixTest, ErrorCellsDoNotPoisonTheMatrix) {
 
   SessionOptions SO;
   SO.Jobs = 2;
-  SO.DatalogThreads = 1;
   AnalysisSession Session(SO);
   std::vector<AnalysisResult> Results = Session.runMatrix(Apps, Kinds);
   ASSERT_EQ(Results.size(), 2u);
@@ -260,9 +252,7 @@ TEST(MatrixTest, ErrorCellsDoNotPoisonTheMatrix) {
 
 TEST(MetricsJsonTest, ContainsEveryField) {
   Application App = synth::applicationFor(synth::BenchApp::WebGoat);
-  PipelineOptions PO;
-  PO.DatalogThreads = 1;
-  Metrics M = runAnalysis(App, AnalysisKind::Mod2ObjH, {}, PO).value();
+  Metrics M = runAnalysis(App, AnalysisKind::Mod2ObjH).value();
   std::string Json = metricsToJson(M, 2);
 
   for (const char *Key :
@@ -271,7 +261,7 @@ TEST(MetricsJsonTest, ContainsEveryField) {
         "\"avg_objs_per_var\"", "\"call_graph_edges\"",
         "\"app_poly_vcalls\"", "\"app_mayfail_casts\"",
         "\"vpt_tuples_total\"", "\"java_util_share\"",
-        "\"datalog_threads\"", "\"snapshot_clone_seconds\"",
+        "\"datalog_tuples_derived\"", "\"snapshot_clone_seconds\"",
         "\"populate_seconds\"", "\"total_seconds\""})
     EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
   // Joinable rows: no trailing comma or newline.

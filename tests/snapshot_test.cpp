@@ -5,9 +5,9 @@
 // Covers the mmap-able base-program store (src/snapshot/): serialization
 // round trips byte-identically, a session cold-started from the store is
 // bit-identical (digest and explain trees) to one that ran the builders at
-// any thread count, and every rejection path — truncation, bad magic, stale
-// format version, payload corruption — falls back to the builders cleanly
-// instead of crashing or silently diverging.
+// any solver thread count, and every rejection path — truncation, bad
+// magic, stale format version, payload corruption — falls back to the
+// builders cleanly instead of crashing or silently diverging.
 //
 //===----------------------------------------------------------------------===//
 
@@ -241,7 +241,6 @@ TEST(SnapshotStoreTest, LoadVsBuildDigestEqualityAcrossThreads) {
 
   for (unsigned Threads : {1u, 2u, 8u}) {
     SessionOptions BuildOptions;
-    BuildOptions.DatalogThreads = Threads;
     BuildOptions.SolverThreads = Threads;
     SessionOptions LoadOptions = BuildOptions;
     LoadOptions.SnapshotDir = Dir.path();
