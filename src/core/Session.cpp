@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace jackee;
 using namespace jackee::core;
@@ -33,60 +32,58 @@ double secondsSince(Clock::time_point Start) {
 }
 
 /// Fills the static (program-shape) metric denominators and the dynamic
-/// (analysis-result) numerators. Retracted entities are skipped so the
-/// static denominators of an updated cell match the from-scratch baseline.
+/// (analysis-result) numerators in one pass over the fixpoint, with dense
+/// id-indexed vectors instead of hash tables (DESIGN.md §3.5). Retracted
+/// entities are skipped so the static denominators of an updated cell
+/// match the from-scratch baseline.
 void collectMetrics(Metrics &M, const Program &P, const Solver &S) {
   // Completeness.
   for (uint32_t MI = 0; MI != P.methodCount(); ++MI) {
     MethodId Method(MI);
+    bool Reached = S.isMethodReachable(Method);
+    M.ReachableMethodsTotal += Reached;
     if (!P.isAppConcreteMethod(Method))
       continue;
     ++M.AppConcreteMethods;
-    if (S.isMethodReachable(Method))
-      ++M.AppReachableMethods;
+    M.AppReachableMethods += Reached;
   }
-  M.ReachableMethodsTotal =
-      static_cast<uint32_t>(S.reachableMethods().size());
 
   // Precision.
-  M.AvgObjsPerVar = S.averageVarPointsTo(/*AppOnly=*/false);
-  M.AvgObjsPerAppVar = S.averageVarPointsTo(/*AppOnly=*/true);
+  Solver::VarPointsToAverages Averages = S.averageVarPointsTo();
+  M.AvgObjsPerVar = Averages.All;
+  M.AvgObjsPerAppVar = Averages.App;
   M.CallGraphEdges = S.callGraphEdges().size();
 
-  // Poly v-calls: application virtual invocations with >= 2 resolved
-  // targets. Group call-graph edges by invocation.
-  std::unordered_map<uint32_t, uint32_t> TargetsPerInvoke;
-  for (uint64_t Edge : S.callGraphEdges())
-    ++TargetsPerInvoke[static_cast<uint32_t>(Edge >> 32)];
-  uint32_t AppVCallsStatic = 0;
-  std::unordered_set<uint32_t> AppVirtualInvokes;
+  // One walk over application statements: the static virtual-call and cast
+  // counts, and which invocations are application virtual calls.
+  std::vector<bool> AppVirtualInvoke(P.invokeCount(), false);
   for (uint32_t MI = 0; MI != P.methodCount(); ++MI) {
     const Method &Meth = P.method(MethodId(MI));
     const Type &Decl = P.type(Meth.DeclaringType);
     if (Meth.IsRetracted || Decl.IsRetracted || !Decl.IsApplication)
       continue;
-    for (const Statement &Stmt : Meth.Statements)
+    for (const Statement &Stmt : Meth.Statements) {
       if (Stmt.Op == Opcode::VirtualCall) {
-        ++AppVCallsStatic;
-        AppVirtualInvokes.insert(Stmt.Invoke.index());
-      }
-  }
-  M.AppVirtualCallSites = AppVCallsStatic;
-  for (const auto &[Invoke, Count] : TargetsPerInvoke)
-    if (Count >= 2 && AppVirtualInvokes.count(Invoke))
-      ++M.AppPolyVCalls;
-
-  // Casts: static app count; may-fail when any pointed-to object fails the
-  // target type under any context instance.
-  for (uint32_t MI = 0; MI != P.methodCount(); ++MI) {
-    const Method &Meth = P.method(MethodId(MI));
-    const Type &Decl = P.type(Meth.DeclaringType);
-    if (Meth.IsRetracted || Decl.IsRetracted || !Decl.IsApplication)
-      continue;
-    for (const Statement &Stmt : Meth.Statements)
-      if (Stmt.Op == Opcode::Cast)
+        ++M.AppVirtualCallSites;
+        AppVirtualInvoke[Stmt.Invoke.index()] = true;
+      } else if (Stmt.Op == Opcode::Cast) {
         ++M.AppCasts;
+      }
+    }
   }
+
+  // Poly v-calls: application virtual invocations with >= 2 resolved
+  // targets. Call-graph edges are distinct (invocation, target) pairs, so
+  // counting edges per invocation counts its targets.
+  std::vector<uint32_t> TargetsPerInvoke(P.invokeCount(), 0);
+  for (uint64_t Edge : S.callGraphEdges()) {
+    uint32_t Invoke = static_cast<uint32_t>(Edge >> 32);
+    if (AppVirtualInvoke[Invoke] && ++TargetsPerInvoke[Invoke] == 2)
+      ++M.AppPolyVCalls;
+  }
+
+  // Casts: may-fail when any pointed-to object fails the target type under
+  // any context instance.
   for (const Solver::CastRecord &Rec : S.castRecords()) {
     if (!Rec.InApplication)
       continue;
@@ -219,7 +216,7 @@ AnalysisCell::buildProfile(const Metrics &M) {
   }
 
   // Points-to set census — the hash-consing scouting report (ROADMAP item
-  // 5). Package shares use the paper's Figure 5 attribution prefixes; the
+  // 3). Package shares use the paper's Figure 5 attribution prefixes; the
   // `java.util` elephants show up here.
   P->Census = Solver_->censusPointsTo(
       {"java.util", "java.lang", "java.io", "javax", "org", "com"});

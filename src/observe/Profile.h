@@ -17,7 +17,7 @@
 ///  2. **Points-to set census** — at fixpoint, every var's points-to set is
 ///     hashed canonically to count distinct vs total sets, a size
 ///     histogram, and the bytes a hash-consing pass would reclaim (the
-///     scouting report for ROADMAP item 5; the paper's `java.util`
+///     scouting report for ROADMAP item 3; the paper's `java.util`
 ///     elephants light up in the package shares).
 ///  3. **JSONL event sink** — a shared append-only event log that tracer
 ///     spans, metrics snapshots, and matrix-driver per-cell heartbeats all

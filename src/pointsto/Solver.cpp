@@ -487,30 +487,26 @@ const std::vector<NodeId> &Solver::varInstances(VarId Var) const {
 }
 
 std::vector<AllocSiteId> Solver::varPointsToSites(VarId Var) const {
-  InsertOrderSet<uint32_t> Sites;
+  std::vector<AllocSiteId> Result;
   for (NodeId N : varInstances(Var))
     for (uint32_t Raw : PointsTo[N.index()])
-      Sites.insert(Values[ValueId(Raw).index()].Site.rawValue());
-  std::vector<AllocSiteId> Result;
-  Result.reserve(Sites.size());
-  for (uint32_t Raw : Sites)
-    Result.push_back(AllocSiteId(Raw));
+      Result.push_back(Values[Raw].Site);
   // Canonical order: equal site sets compare equal even when propagation
   // reached them along different round schedules.
-  std::sort(Result.begin(), Result.end(),
-            [](AllocSiteId A, AllocSiteId B) {
-              return A.rawValue() < B.rawValue();
-            });
+  std::sort(Result.begin(), Result.end());
+  Result.erase(std::unique(Result.begin(), Result.end()), Result.end());
   return Result;
 }
 
 std::vector<MethodId> Solver::reachableMethods() const {
-  InsertOrderSet<uint32_t> Seen;
+  std::vector<bool> Seen(P.methodCount(), false);
   std::vector<MethodId> Result;
   for (uint32_t Raw : ReachableSet) {
     MethodId M = CMethods[Raw].M;
-    if (Seen.insert(M.rawValue()))
+    if (!Seen[M.index()]) {
+      Seen[M.index()] = true;
       Result.push_back(M);
+    }
   }
   return Result;
 }
@@ -538,30 +534,39 @@ uint64_t Solver::varPointsToTuplesTotal() const {
   return Total;
 }
 
-double Solver::averageVarPointsTo(bool AppOnly) const {
-  // Context-insensitive projection per variable, averaged over variables
-  // that point to at least one object.
-  std::unordered_map<uint32_t, InsertOrderSet<uint32_t>> PerVar;
-  for (size_t I = 0, E = Nodes.size(); I != E; ++I) {
-    if (Nodes[I].Kind != NodeKind::Var || PointsTo[I].empty())
+Solver::VarPointsToAverages Solver::averageVarPointsTo() const {
+  // One walk over the variables. A variable's distinct sites are counted by
+  // stamping a dense per-site vector with the variable's index (plus one,
+  // so the zero fill means "unseen"); site ids are dense program ids,
+  // framework-made objects included.
+  std::vector<uint32_t> Stamp(P.allocSiteCount(), 0);
+  uint64_t Sum = 0, Pointing = 0, AppSum = 0, AppPointing = 0;
+  for (uint32_t VI = 0, VE = static_cast<uint32_t>(VarNodes.size());
+       VI != VE; ++VI) {
+    uint32_t Distinct = 0;
+    for (NodeId N : VarNodes[VI])
+      for (uint32_t Raw : PointsTo[N.index()]) {
+        uint32_t &Mark = Stamp[Values[Raw].Site.index()];
+        if (Mark != VI + 1) {
+          Mark = VI + 1;
+          ++Distinct;
+        }
+      }
+    if (Distinct == 0)
       continue;
-    VarId Var(Nodes[I].A);
-    if (AppOnly) {
-      TypeId Declaring =
-          P.method(P.variable(Var).DeclaringMethod).DeclaringType;
-      if (!P.type(Declaring).IsApplication)
-        continue;
+    Sum += Distinct;
+    ++Pointing;
+    TypeId Declaring =
+        P.method(P.variable(VarId(VI)).DeclaringMethod).DeclaringType;
+    if (P.type(Declaring).IsApplication) {
+      AppSum += Distinct;
+      ++AppPointing;
     }
-    InsertOrderSet<uint32_t> &Sites = PerVar[Var.index()];
-    for (uint32_t Raw : PointsTo[I])
-      Sites.insert(Values[ValueId(Raw).index()].Site.rawValue());
   }
-  if (PerVar.empty())
-    return 0.0;
-  uint64_t Sum = 0;
-  for (const auto &[VarIndex, Sites] : PerVar)
-    Sum += Sites.size();
-  return static_cast<double>(Sum) / static_cast<double>(PerVar.size());
+  auto Average = [](uint64_t S, uint64_t N) {
+    return N == 0 ? 0.0 : static_cast<double>(S) / static_cast<double>(N);
+  };
+  return {Average(Sum, Pointing), Average(AppSum, AppPointing)};
 }
 
 observe::ProfileCensus Solver::censusPointsTo(

@@ -199,7 +199,7 @@ public:
   }
   CtxId cmethodCtx(CMethodId CM) const { return CMethods[CM.index()].Ctx; }
 
-  /// Context-insensitive reachable method set.
+  /// Context-insensitive reachable method set, in first-reached order.
   std::vector<ir::MethodId> reachableMethods() const;
   bool isMethodReachable(ir::MethodId M) const {
     return M.index() < MethodReached.size() && MethodReached[M.index()];
@@ -226,15 +226,20 @@ public:
   /// Total context-sensitive var-points-to tuples.
   uint64_t varPointsToTuplesTotal() const;
 
-  /// Sum/count for average points-to size metrics. \p AppOnly restricts to
-  /// variables of application-declared methods. Context-insensitive
-  /// projection (sites per variable), averaged over pointing variables.
-  double averageVarPointsTo(bool AppOnly) const;
+  /// Table 1's average points-to sizes: the context-insensitive projection
+  /// (distinct allocation sites per variable), averaged over the variables
+  /// that point to at least one object — all of them (`All`), and those
+  /// whose declaring class is an application class (`App`).
+  struct VarPointsToAverages {
+    double All = 0.0;
+    double App = 0.0;
+  };
+  VarPointsToAverages averageVarPointsTo() const;
 
   /// The points-to set census of DESIGN.md §14: hashes every var node's
   /// set by canonical (sorted) contents to count distinct vs total sets, a
   /// power-of-two size histogram, and the bytes a hash-consing pass
-  /// (ROADMAP item 5) would reclaim. One `PackageShare` row per entry of
+  /// (ROADMAP item 3) would reclaim. One `PackageShare` row per entry of
   /// \p PackagePrefixes (`varPointsToTuples` on each — where the paper's
   /// `java.util` elephants light up). Run at fixpoint; every field is
   /// deterministic at any `Threads` setting, because set *contents* are

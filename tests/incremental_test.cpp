@@ -19,6 +19,7 @@
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <random>
 #include <string>
@@ -188,10 +189,20 @@ std::vector<std::string> entryPointAtoms(AnalysisCell &Cell) {
   return Atoms;
 }
 
+/// \p X printed exactly (hexadecimal floating point).
+std::string exactDouble(double X) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf), "%a", X);
+  return Buf;
+}
+
 /// The deterministic (thread- and path-invariant) metric fields.
 std::string semanticMetrics(const Metrics &M) {
   return "reach=" + std::to_string(M.AppReachableMethods) + "/" +
          std::to_string(M.AppConcreteMethods) +
+         " reachall=" + std::to_string(M.ReachableMethodsTotal) +
+         " objs=" + exactDouble(M.AvgObjsPerVar) + "/" +
+         exactDouble(M.AvgObjsPerAppVar) +
          " vpt=" + std::to_string(M.VptTuplesTotal) +
          " vptju=" + std::to_string(M.VptTuplesJavaUtil) +
          " cg=" + std::to_string(M.CallGraphEdges) +

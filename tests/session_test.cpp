@@ -5,7 +5,8 @@
 // Covers the batch analysis API: image equivalence (cells decoding one
 // memoized base-program image are bit-identical to cells that each got a
 // fresh image), one image build per collection model, matrix determinism
-// across job counts, error-path reporting, and metrics JSON serialization.
+// across job counts, error-path reporting, metrics JSON serialization, and
+// an oracle that recomputes every paper metric from its definition.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +16,10 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -266,6 +270,203 @@ TEST(MetricsJsonTest, ContainsEveryField) {
     EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
   // Joinable rows: no trailing comma or newline.
   EXPECT_EQ(Json.back(), '}');
+}
+
+/// Recomputes every Figure 4, Table 1 and Figure 5 field of \p Cell's
+/// metrics from its definition, through plain public queries, and expects
+/// exact equality — the two averages included.
+void expectMetricsMatchDefinitions(const AnalysisCell &Cell) {
+  const ir::Program &P = Cell.program();
+  const pointsto::Solver &S = Cell.solver();
+  const Metrics &M = Cell.metrics();
+  SCOPED_TRACE(M.App + "/" + M.Analysis);
+
+  auto isLiveAppMethod = [&](ir::MethodId Id) {
+    const ir::Method &Meth = P.method(Id);
+    const ir::Type &Decl = P.type(Meth.DeclaringType);
+    return !Meth.IsRetracted && !Decl.IsRetracted && Decl.IsApplication;
+  };
+
+  // Figure 4: application concrete methods, and how many are reached.
+  std::vector<ir::MethodId> Reached = S.reachableMethods();
+  std::set<ir::MethodId> ReachedSet(Reached.begin(), Reached.end());
+  EXPECT_EQ(ReachedSet.size(), Reached.size());
+  uint32_t AppConcrete = 0, AppReached = 0;
+  for (uint32_t MI = 0; MI != P.methodCount(); ++MI) {
+    if (!P.isAppConcreteMethod(ir::MethodId(MI)))
+      continue;
+    ++AppConcrete;
+    AppReached += ReachedSet.count(ir::MethodId(MI));
+  }
+  EXPECT_EQ(M.AppConcreteMethods, AppConcrete);
+  EXPECT_EQ(M.AppReachableMethods, AppReached);
+  EXPECT_EQ(M.ReachableMethodsTotal, Reached.size());
+
+  // Table 1 averages: distinct sites per variable, over the variables that
+  // point somewhere (all, and those of application classes). Figure 5:
+  // context-sensitive var-points-to tuples (all, and java.util's).
+  uint64_t Sum = 0, Pointing = 0, AppSum = 0, AppPointing = 0;
+  uint64_t Tuples = 0, JavaUtilTuples = 0;
+  for (uint32_t VI = 0; VI != P.variableCount(); ++VI) {
+    ir::VarId V(VI);
+    const ir::Type &Decl =
+        P.type(P.method(P.variable(V).DeclaringMethod).DeclaringType);
+    if (size_t Sites = S.varPointsToSites(V).size()) {
+      Sum += Sites;
+      ++Pointing;
+      if (Decl.IsApplication) {
+        AppSum += Sites;
+        ++AppPointing;
+      }
+    }
+    uint64_t VarTuples = 0;
+    for (pointsto::NodeId N : S.varInstances(V))
+      VarTuples += S.pointsTo(N).size();
+    Tuples += VarTuples;
+    if (P.symbols().text(Decl.Name).starts_with("java.util"))
+      JavaUtilTuples += VarTuples;
+  }
+  EXPECT_EQ(M.AvgObjsPerVar,
+            Pointing ? static_cast<double>(Sum) / Pointing : 0.0);
+  EXPECT_EQ(M.AvgObjsPerAppVar,
+            AppPointing ? static_cast<double>(AppSum) / AppPointing : 0.0);
+  EXPECT_EQ(M.VptTuplesTotal, Tuples);
+  EXPECT_EQ(M.VptTuplesJavaUtil, JavaUtilTuples);
+  EXPECT_EQ(M.VptTuplesJavaUtil, S.varPointsToTuples("java.util"));
+
+  // Call-graph edges are distinct (invocation, target) pairs; a poly v-call
+  // is a live application virtual invocation with two or more targets.
+  std::map<uint32_t, std::set<uint32_t>> TargetsByInvoke;
+  std::set<uint64_t> Edges;
+  for (uint64_t Edge : S.callGraphEdges()) {
+    TargetsByInvoke[static_cast<uint32_t>(Edge >> 32)].insert(
+        static_cast<uint32_t>(Edge));
+    Edges.insert(Edge);
+  }
+  EXPECT_EQ(M.CallGraphEdges, Edges.size());
+  uint32_t Poly = 0;
+  for (const auto &[Invoke, Targets] : TargetsByInvoke) {
+    const ir::InvokeSite &Site = P.invokeSite(ir::InvokeId(Invoke));
+    const ir::Statement &Call =
+        P.method(Site.Caller).Statements[Site.StatementIndex];
+    Poly += Targets.size() >= 2 && Call.Op == ir::Opcode::VirtualCall &&
+            isLiveAppMethod(Site.Caller);
+  }
+  EXPECT_EQ(M.AppPolyVCalls, Poly);
+
+  // Static application virtual calls and casts; a cast may fail when its
+  // source points to an object (under any context) of another type.
+  uint32_t VirtualCalls = 0, Casts = 0, MayFail = 0;
+  for (uint32_t MI = 0; MI != P.methodCount(); ++MI) {
+    if (!isLiveAppMethod(ir::MethodId(MI)))
+      continue;
+    for (const ir::Statement &Stmt : P.method(ir::MethodId(MI)).Statements) {
+      VirtualCalls += Stmt.Op == ir::Opcode::VirtualCall;
+      if (Stmt.Op != ir::Opcode::Cast)
+        continue;
+      ++Casts;
+      std::vector<ir::AllocSiteId> Sites = S.varPointsToSites(Stmt.Src);
+      MayFail += std::any_of(Sites.begin(), Sites.end(),
+                             [&](ir::AllocSiteId Site) {
+                               return !P.isSubtype(
+                                   P.allocSite(Site).ObjectType,
+                                   Stmt.TypeRef);
+                             });
+    }
+  }
+  EXPECT_EQ(M.AppVirtualCallSites, VirtualCalls);
+  EXPECT_EQ(M.AppCasts, Casts);
+  EXPECT_EQ(M.AppMayFailCasts, MayFail);
+}
+
+TEST(MetricsOracle, WebAppsUnderEveryAnalysis) {
+  SessionOptions SO;
+  SO.Jobs = 1;
+  AnalysisSession Session(SO);
+  for (Application App : {synth::applicationFor(synth::BenchApp::Pybbs),
+                          synth::applicationFor(synth::BenchApp::SpringBlog),
+                          synth::applicationFor(synth::BenchApp::WebGoat),
+                          synth::petstoreApp()})
+    for (AnalysisKind Kind :
+         {AnalysisKind::DoopBaselineCI, AnalysisKind::CI,
+          AnalysisKind::TwoObjH, AnalysisKind::Mod2ObjH}) {
+      CellResult Cell = Session.open(App, Kind);
+      ASSERT_TRUE(Cell.ok()) << Cell.error().Message;
+      expectMetricsMatchDefinitions(*Cell);
+    }
+}
+
+TEST(MetricsOracle, PlainMainProgram) {
+  SessionOptions SO;
+  SO.Jobs = 1;
+  AnalysisSession Session(SO);
+  for (AnalysisKind Kind : {AnalysisKind::DoopBaselineCI, AnalysisKind::CI,
+                            AnalysisKind::TwoObjH, AnalysisKind::Mod2ObjH}) {
+    CellResult Cell = Session.open(synth::dacapoLikeApp(), Kind);
+    ASSERT_TRUE(Cell.ok()) << Cell.error().Message;
+    EXPECT_GT(Cell->metrics().AppReachableMethods, 0u);
+    expectMetricsMatchDefinitions(*Cell);
+  }
+}
+
+/// The mode ("warm" or "reset") of the last `cell-update` span.
+std::string lastUpdateMode(const observe::Tracer &T) {
+  std::string Mode;
+  for (const observe::Tracer::SpanRecord &Span : T.snapshot())
+    if (Span.Name == "cell-update")
+      for (const observe::Tracer::Arg &A : Span.Args)
+        if (A.Key == "mode")
+          Mode = A.Value;
+  return Mode;
+}
+
+TEST(MetricsOracle, LiveCellAfterWarmAndResetUpdates) {
+  // Petstore plus an unregistered class whose method casts and calls
+  // through a map once a web.xml listener registration exercises it.
+  CellDelta AddMetricsClass;
+  AddMetricsClass.AddCode = [](ir::Program &P, const javalib::JavaLib &L,
+                               const frameworks::FrameworkLib &) {
+    ir::TypeId T = P.addClass("shop.Metrics", ir::TypeKind::Class, L.Object,
+                              {}, false, /*IsApplication=*/true);
+    P.addMethod(T, "<init>", {}, ir::TypeId::invalid());
+    ir::MethodBuilder Tick =
+        P.addMethod(T, "tick", {L.Object}, ir::TypeId::invalid());
+    ir::VarId Key = Tick.local("key", L.String);
+    ir::VarId Counts = Tick.local("counts", L.HashMap);
+    Tick.cast(Key, L.String, Tick.param(0))
+        .alloc(Counts, L.HashMap)
+        .specialCall(ir::VarId::invalid(), Counts, L.HashMapInit, {})
+        .virtualCall(ir::VarId::invalid(), Counts, "put",
+                     {L.Object, L.Object}, {Key, Tick.param(0)});
+  };
+  SessionOptions SO;
+  SO.Jobs = 1;
+  SO.Trace = true;
+  AnalysisSession Session(SO);
+  CellResult Live = Session.open(applyDelta(synth::petstoreApp(),
+                                            {AddMetricsClass}),
+                                 AnalysisKind::Mod2ObjH);
+  ASSERT_TRUE(Live.ok()) << Live.error().Message;
+  expectMetricsMatchDefinitions(*Live);
+  uint32_t ColdReached = Live->metrics().AppReachableMethods;
+
+  CellDelta Register;
+  Register.AddConfigs.push_back(
+      {"metrics-web.xml", "<web-app>\n  <listener>\n    <listener-class>"
+                          "shop.Metrics</listener-class>\n  </listener>\n"
+                          "</web-app>\n"});
+  ASSERT_TRUE(Live->update(Register).ok());
+  EXPECT_EQ(lastUpdateMode(*Session.tracer()), "warm");
+  EXPECT_GT(Live->metrics().AppReachableMethods, ColdReached);
+  EXPECT_GT(Live->metrics().AppMayFailCasts, 0u);
+  expectMetricsMatchDefinitions(*Live);
+
+  CellDelta Retract;
+  Retract.RetractClasses.push_back("shop.Metrics");
+  Retract.RetractConfigs.push_back("metrics-web.xml");
+  ASSERT_TRUE(Live->update(Retract).ok());
+  EXPECT_EQ(lastUpdateMode(*Session.tracer()), "reset");
+  expectMetricsMatchDefinitions(*Live);
 }
 
 } // namespace
