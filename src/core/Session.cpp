@@ -215,9 +215,9 @@ AnalysisCell::buildProfile(const Metrics &M) {
     P->Relations.push_back(std::move(Row));
   }
 
-  // Points-to set census — the hash-consing scouting report (ROADMAP item
-  // 3). Package shares use the paper's Figure 5 attribution prefixes; the
-  // `java.util` elephants show up here.
+  // Points-to set census — the hash-consing scouting report for the
+  // ROADMAP item on compact points-to sets. Package shares use the paper's
+  // Figure 5 attribution prefixes; the `java.util` elephants show up here.
   P->Census = Solver_->censusPointsTo(
       {"java.util", "java.lang", "java.io", "javax", "org", "com"});
 

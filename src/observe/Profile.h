@@ -7,8 +7,9 @@
 /// \file
 /// The deep-profiling data model (DESIGN.md §14): an opt-in layer that
 /// attributes analysis cost at rule/relation granularity so the next
-/// optimization round (ROADMAP items 4/5) is driven by measurement instead
-/// of guesses. Three pillars:
+/// optimization round (the ROADMAP items on compact points-to sets and
+/// differential deletion) is driven by measurement instead of guesses.
+/// Three pillars:
 ///
 ///  1. **Rule/relation attribution** — per-rule pass/round/derivation/match
 ///     counters plus planner estimated-vs-actual fanout and wall time, and
@@ -17,8 +18,8 @@
 ///  2. **Points-to set census** — at fixpoint, every var's points-to set is
 ///     hashed canonically to count distinct vs total sets, a size
 ///     histogram, and the bytes a hash-consing pass would reclaim (the
-///     scouting report for ROADMAP item 3; the paper's `java.util`
-///     elephants light up in the package shares).
+///     scouting report for the ROADMAP item on compact points-to sets; the
+///     paper's `java.util` elephants light up in the package shares).
 ///  3. **JSONL event sink** — a shared append-only event log that tracer
 ///     spans, metrics snapshots, and matrix-driver per-cell heartbeats all
 ///     write through, so long corpus runs are observable in flight.

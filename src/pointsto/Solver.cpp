@@ -60,21 +60,15 @@ ValueId Solver::internValue(AllocSiteId Site, CtxId HeapCtx) {
 }
 
 NodeId Solver::internNode(NodeKind Kind, uint32_t A, uint32_t B) {
-  uint64_t Hash =
-      hashCombine(hashCombine(static_cast<size_t>(Kind), A), B);
-  std::vector<uint32_t> &Bucket = NodeBuckets[Hash];
-  for (uint32_t Candidate : Bucket) {
-    const Node &N = Nodes[Candidate];
-    if (N.Kind == Kind && N.A == A && N.B == B)
-      return NodeId(Candidate);
-  }
   uint32_t Index = static_cast<uint32_t>(Nodes.size());
+  auto [It, Inserted] = NodeLookup[static_cast<size_t>(Kind)].try_emplace(
+      packPair(A, B), Index);
+  if (!Inserted)
+    return NodeId(It->second);
   Nodes.push_back({Kind, A, B});
   PointsTo.emplace_back();
   Edges.emplace_back();
-  EdgeDedup.emplace_back();
   Reactions.emplace_back();
-  Bucket.push_back(Index);
 
   if (Kind == NodeKind::Var) {
     if (A >= VarNodes.size())
@@ -130,10 +124,14 @@ void Solver::propagate(NodeId N, ValueId V) {
 }
 
 void Solver::addEdge(NodeId From, NodeId To, TypeId Filter) {
-  uint64_t Key = packPair(To.rawValue(), Filter.rawValue());
-  if (!EdgeDedup[From.index()].insert(Key).second)
-    return;
-  Edges[From.index()].push_back({To, Filter});
+  // Dedup by scanning the source's own edges. A paper-grid pass scans 87
+  // edges per call on average (EXPERIMENTS.md, "Points-to set
+  // representation"); a per-node index was no faster and costs more to free.
+  std::vector<Edge> &Out = Edges[From.index()];
+  for (const Edge &E : Out)
+    if (E.Target == To && E.Filter == Filter)
+      return;
+  Out.push_back({To, Filter});
   ++SolverStats.EdgesAdded;
   // Replay the current set through the new edge (snapshot the size; values
   // added meanwhile flow via the worklist). Re-index every iteration: the
@@ -292,7 +290,9 @@ void Solver::wireCall(const Statement &S, CtxId CallerCtx, CMethodId CallerCM,
 
   CMethodId CalleeCM = internCMethod(Callee, CalleeCtx);
   makeReachable(Callee, CalleeCtx);
-  CallEdges.insert(packPair(S.Invoke.index(), Callee.index()));
+  uint64_t CallEdge = packPair(S.Invoke.index(), Callee.index());
+  if (CallEdgeSet.insert(CallEdge).second)
+    CallEdges.push_back(CallEdge);
 
   if (Receiver.isValid() && CalleeM.This.isValid())
     propagate(varNode(CalleeM.This, CalleeCtx), Receiver);
@@ -344,8 +344,9 @@ void Solver::phaseShard(uint32_t ShardIndex) {
     for (const Edge &E : Edges[NIdx]) {
       if (!passesFilter(V, E.Filter))
         continue;
-      // Frozen-state dedup: moves the membership hash probe into the
-      // parallel phase. A stale miss just re-checks at the merge.
+      // Frozen-state dedup: moves the membership probe (a short scan or a
+      // bitset read) into the parallel phase. A stale miss just re-checks
+      // at the merge.
       if (PointsTo[E.Target.index()].contains(V.rawValue()))
         continue;
       S.StagedProps[shardOf(E.Target)].push_back({E.Target, V});
@@ -583,7 +584,7 @@ observe::ProfileCensus Solver::censusPointsTo(
     if (Nodes[I].Kind != NodeKind::Var)
       continue;
     ++C.VarNodes;
-    const InsertOrderSet<uint32_t> &Set = PointsTo[I];
+    const InsertOrderSet &Set = PointsTo[I];
     if (Set.empty())
       continue;
     ++C.NonEmptySets;

@@ -180,7 +180,7 @@ public:
   const std::vector<NodeId> &varInstances(ir::VarId Var) const;
 
   /// Points-to set of one node (ValueId raw indexes).
-  const InsertOrderSet<uint32_t> &pointsTo(NodeId N) const {
+  const InsertOrderSet &pointsTo(NodeId N) const {
     return PointsTo[N.index()];
   }
 
@@ -191,7 +191,7 @@ public:
   std::vector<ir::AllocSiteId> varPointsToSites(ir::VarId Var) const;
 
   /// All (method, ctx) pairs reached.
-  const InsertOrderSet<uint32_t> &reachableCMethods() const {
+  const InsertOrderSet &reachableCMethods() const {
     return ReachableSet;
   }
   ir::MethodId cmethodMethod(CMethodId CM) const {
@@ -205,10 +205,9 @@ public:
     return M.index() < MethodReached.size() && MethodReached[M.index()];
   }
 
-  /// Distinct (invocation, target-method) call-graph edges.
-  const InsertOrderSet<uint64_t> &callGraphEdges() const {
-    return CallEdges;
-  }
+  /// Distinct (invocation, target-method) call-graph edges, packed with
+  /// `packPair`, in first-wired order.
+  const std::vector<uint64_t> &callGraphEdges() const { return CallEdges; }
 
   /// One record per cast statement occurrence (deduplicated by statement);
   /// used for the may-fail-cast metric.
@@ -236,14 +235,14 @@ public:
   };
   VarPointsToAverages averageVarPointsTo() const;
 
-  /// The points-to set census of DESIGN.md §14: hashes every var node's
-  /// set by canonical (sorted) contents to count distinct vs total sets, a
-  /// power-of-two size histogram, and the bytes a hash-consing pass
-  /// (ROADMAP item 3) would reclaim. One `PackageShare` row per entry of
-  /// \p PackagePrefixes (`varPointsToTuples` on each — where the paper's
-  /// `java.util` elephants light up). Run at fixpoint; every field is
-  /// deterministic at any `Threads` setting, because set *contents* are
-  /// (DESIGN.md §11) and the walk sorts before hashing.
+  /// The points-to set census of DESIGN.md §14: keys every var node's set
+  /// by its canonical (sorted) contents to count distinct vs total sets, a
+  /// power-of-two size histogram, and the bytes hash-consing (the ROADMAP
+  /// item on compact points-to sets) would reclaim. One `PackageShare` row
+  /// per entry of \p PackagePrefixes (`varPointsToTuples` on each — where
+  /// the paper's `java.util` elephants light up). Run at fixpoint; every
+  /// field is deterministic at any `Threads` setting, because set
+  /// *contents* are (DESIGN.md §11) and the walk sorts before keying.
   observe::ProfileCensus
   censusPointsTo(const std::vector<std::string> &PackagePrefixes) const;
 
@@ -386,10 +385,11 @@ private:
   std::vector<ValueKey> Values;
   std::unordered_map<uint64_t, uint32_t> ValueLookup;
 
-  // Node interning: hash buckets with exact verification (the (kind, A, B)
-  // triple does not fit a 64-bit exact key).
+  // Node interning: one exact map per kind, keyed by packPair(A, B).
+  static constexpr size_t NumNodeKinds =
+      static_cast<size_t>(NodeKind::CatchDispatch) + 1; // the last kind
   std::vector<Node> Nodes;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> NodeBuckets;
+  std::array<std::unordered_map<uint64_t, uint32_t>, NumNodeKinds> NodeLookup;
 
   // CMethod interning.
   struct CMethod {
@@ -399,19 +399,21 @@ private:
   std::vector<CMethod> CMethods;
   std::unordered_map<uint64_t, uint32_t> CMethodLookup;
 
-  // Per-node state (indexed by NodeId).
-  std::vector<InsertOrderSet<uint32_t>> PointsTo;
+  // Per-node state (indexed by NodeId). An edge is unique by (Target,
+  // Filter) within its source's vector.
+  std::vector<InsertOrderSet> PointsTo;
   std::vector<std::vector<Edge>> Edges;
-  std::vector<std::unordered_set<uint64_t>> EdgeDedup;
   std::vector<std::vector<Reaction>> Reactions;
 
   // Var -> its context instances.
   std::vector<std::vector<NodeId>> VarNodes;
 
-  InsertOrderSet<uint32_t> ReachableSet; // CMethodId raw
-  std::vector<bool> MethodReached;       // by MethodId
+  InsertOrderSet ReachableSet;     // CMethodId raw
+  std::vector<bool> MethodReached; // by MethodId
 
-  InsertOrderSet<uint64_t> CallEdges; // packPair(invoke, calleeMethod)
+  // packPair(invoke, calleeMethod): not dense ids, so membership is hashed.
+  std::vector<uint64_t> CallEdges;
+  std::unordered_set<uint64_t> CallEdgeSet;
 
   std::vector<CastRecord> Casts;
   std::unordered_map<const ir::Statement *, uint32_t> CastIndex;

@@ -472,11 +472,52 @@ bool readProgram(ByteReader &R, DecodedProgram &P) {
 }
 
 // Reference validation: every id a decoded table holds must be invalid or
-// in range. The digest already rules out accidental corruption; this pass
-// rules out a *well-digested but inconsistent* image ever producing an
-// out-of-bounds table access downstream.
+// in range, and present where its statement or catch clause needs it. The
+// digest already rules out accidental corruption; this pass rules out a
+// *well-digested but inconsistent* image ever producing an out-of-bounds
+// table access downstream.
 template <typename Tag> bool okId(Id<Tag> V, size_t Count) {
   return !V.isValid() || V.index() < Count;
+}
+
+// `okId` accepts an invalid id, but each opcode has operands that must be
+// present: exactly those the IR builders (`ir::MethodBuilder`) always set.
+// The solver, the extractor and the metric pass index by them unchecked.
+// An opcode byte past `Opcode::Throw` matches no case and is rejected too.
+bool hasRequiredOperands(const ir::Statement &S) {
+  switch (S.Op) {
+  case ir::Opcode::Alloc:
+  case ir::Opcode::StringConst:
+    return S.Dst.isValid() && S.TypeRef.isValid() && S.Site.isValid();
+  case ir::Opcode::Move:
+    return S.Dst.isValid() && S.Src.isValid();
+  case ir::Opcode::Load:
+    return S.Dst.isValid() && S.Base.isValid() && S.FieldRef.isValid();
+  case ir::Opcode::Store:
+    return S.Base.isValid() && S.FieldRef.isValid() && S.Src.isValid();
+  case ir::Opcode::StaticLoad:
+    return S.Dst.isValid() && S.FieldRef.isValid();
+  case ir::Opcode::StaticStore:
+    return S.FieldRef.isValid() && S.Src.isValid();
+  case ir::Opcode::ArrayLoad:
+    return S.Dst.isValid() && S.Base.isValid();
+  case ir::Opcode::ArrayStore:
+    return S.Base.isValid() && S.Src.isValid();
+  case ir::Opcode::Cast:
+    return S.Dst.isValid() && S.TypeRef.isValid() && S.Src.isValid();
+  case ir::Opcode::VirtualCall:
+    return S.Invoke.isValid() && S.Base.isValid() &&
+           S.CalleeSignature.isValid();
+  case ir::Opcode::SpecialCall:
+    return S.Invoke.isValid() && S.Base.isValid() && S.DirectCallee.isValid();
+  case ir::Opcode::StaticCall:
+    return S.Invoke.isValid() && S.DirectCallee.isValid();
+  case ir::Opcode::Return:
+    return true; // a void return has no operand
+  case ir::Opcode::Throw:
+    return S.Src.isValid();
+  }
+  return false;
 }
 
 bool validateProgramRefs(const DecodedProgram &P, size_t SymbolCount) {
@@ -523,6 +564,8 @@ bool validateProgramRefs(const DecodedProgram &P, size_t SymbolCount) {
         !allOk(M.Params, [&](ir::VarId V) { return okId(V, NV); }))
       return false;
     for (const ir::Statement &S : M.Statements) {
+      if (!hasRequiredOperands(S))
+        return false;
       if (!okId(S.Dst, NV) || !okId(S.Src, NV) || !okId(S.Base, NV) ||
           !okId(S.FieldRef, NF) || !okId(S.TypeRef, NT) ||
           !okId(S.Site, NS) || !okId(S.Invoke, NI) ||
@@ -532,7 +575,8 @@ bool validateProgramRefs(const DecodedProgram &P, size_t SymbolCount) {
         return false;
     }
     for (const ir::CatchClause &C : M.Catches)
-      if (!okId(C.CaughtType, NT) || !okId(C.Var, NV))
+      if (!C.CaughtType.isValid() || !C.Var.isValid() ||
+          !okId(C.CaughtType, NT) || !okId(C.Var, NV))
         return false;
   }
   for (const ir::Variable &V : P.Variables)
@@ -795,7 +839,7 @@ LoadResult jackee::snapshot::deserialize(std::span<const uint8_t> Image,
   if (!readProgram(R, Tables))
     return fail("malformed program section");
   if (!validateProgramRefs(Tables, SymbolCount))
-    return fail("out-of-range reference in program section");
+    return fail("missing or out-of-range reference in program section");
 
   B->Base = std::make_unique<ir::Program>(*B->Symbols);
   B->Base->restoreTables(std::move(Tables.Types), std::move(Tables.Fields),

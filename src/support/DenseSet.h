@@ -1,44 +1,66 @@
-//===- DenseSet.h - Insertion-ordered deterministic sets --------*- C++ -*-===//
+//===- DenseSet.h - Insertion-ordered sets of dense ids ---------*- C++ -*-===//
 //
 // Part of JackEE-CPP (PLDI'20 "Frameworks and Caches" reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// `InsertOrderSet` — a set with O(1) membership and *deterministic*
-/// (insertion-order) iteration. Points-to sets, worklists and relation
-/// deltas all iterate these, and analysis output must not depend on hash
-/// table layout (see "Beware of non-determinism" in the LLVM standards).
+/// `InsertOrderSet` — a set of dense `uint32_t` ids with *deterministic*
+/// (insertion-order) iteration. Points-to sets and the reachable-method set
+/// iterate these, and analysis output must not depend on hash table layout
+/// (see "Beware of non-determinism" in the LLVM standards).
+///
+/// The insertion-order vector *is* the set. Small sets answer membership by
+/// scanning it; larger ones by a bitset over ids, so a set never allocates
+/// per element. Ids must be dense (a bitset word per 64 ids up to the
+/// largest member): value, method and type ids are; packed id pairs are not.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JACKEE_SUPPORT_DENSESET_H
 #define JACKEE_SUPPORT_DENSESET_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 namespace jackee {
 
-/// A set of trivially-copyable values with insertion-ordered iteration.
+/// A set of dense ids with insertion-ordered iteration.
 ///
-/// Membership is tracked by a hash set; iteration walks the insertion-order
-/// vector, so results are reproducible run to run.
-template <typename T, typename Hash = std::hash<T>> class InsertOrderSet {
+/// While the set holds at most `ScanLimit` ids, `contains` scans the order
+/// vector; once it grows past that, every member is also recorded in a
+/// bitset that grows on demand to the largest id inserted. `contains` is
+/// read-only, so concurrent readers of a set nobody is inserting into are
+/// safe.
+class InsertOrderSet {
 public:
-  using const_iterator = typename std::vector<T>::const_iterator;
+  using const_iterator = std::vector<uint32_t>::const_iterator;
 
-  /// Inserts \p Value. \returns true if it was not already present.
-  bool insert(const T &Value) {
-    if (!Members.insert(Value).second)
+  /// Largest size at which membership scans the order vector.
+  static constexpr size_t ScanLimit = 16;
+
+  /// Inserts \p Id. \returns true if it was not already present.
+  bool insert(uint32_t Id) {
+    if (contains(Id))
       return false;
-    Order.push_back(Value);
+    Order.push_back(Id);
+    if (Order.size() == ScanLimit + 1) {
+      for (uint32_t Member : Order)
+        setBit(Member);
+    } else if (Order.size() > ScanLimit) {
+      setBit(Id);
+    }
     return true;
   }
 
-  bool contains(const T &Value) const { return Members.count(Value) != 0; }
+  bool contains(uint32_t Id) const {
+    if (Order.size() <= ScanLimit)
+      return std::find(Order.begin(), Order.end(), Id) != Order.end();
+    size_t Word = Id / 64;
+    return Word < Bits.size() && (Bits[Word] >> (Id % 64) & 1) != 0;
+  }
 
   size_t size() const { return Order.size(); }
   bool empty() const { return Order.empty(); }
@@ -48,18 +70,23 @@ public:
 
   /// Element \p I in insertion order. Stable under later insertions, which is
   /// what lets delta-based loops use an index cursor instead of iterators.
-  const T &operator[](size_t I) const { return Order[I]; }
-
-  const std::vector<T> &items() const { return Order; }
+  uint32_t operator[](size_t I) const { return Order[I]; }
 
   void clear() {
-    Members.clear();
     Order.clear();
+    Bits.clear();
   }
 
 private:
-  std::unordered_set<T, Hash> Members;
-  std::vector<T> Order;
+  void setBit(uint32_t Id) {
+    size_t Word = Id / 64;
+    if (Word >= Bits.size())
+      Bits.resize(Word + 1, 0);
+    Bits[Word] |= uint64_t(1) << (Id % 64);
+  }
+
+  std::vector<uint32_t> Order;
+  std::vector<uint64_t> Bits; ///< empty until the set outgrows `ScanLimit`
 };
 
 } // namespace jackee

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Small hash combinators for pairs and tuples of 32-bit ids, used by the
-/// Datalog tuple store and the points-to solver's edge sets.
+/// Datalog tuple store and the points-to solver's interning maps.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -179,7 +179,7 @@ std::unique_ptr<Scenario> buildClientScenario(bool SoundModulo,
 
 /// Distinct types pointed to by \p V, as names.
 std::vector<std::string> typeNamesOf(const Solver &S, VarId V) {
-  InsertOrderSet<uint32_t> Types;
+  InsertOrderSet Types;
   for (AllocSiteId Site : S.varPointsToSites(V))
     Types.insert(S.program().allocSite(Site).ObjectType.rawValue());
   std::vector<std::string> Names;

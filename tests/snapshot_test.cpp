@@ -6,8 +6,9 @@
 // round trips byte-identically, a session cold-started from the store is
 // bit-identical (digest and explain trees) to one that ran the builders at
 // any solver thread count, and every rejection path — truncation, bad
-// magic, stale format version, payload corruption — falls back to the
-// builders cleanly instead of crashing or silently diverging.
+// magic, stale format version, payload corruption, a well-digested image
+// with a malformed statement or catch clause — falls back to the builders
+// cleanly instead of crashing or silently diverging.
 //
 //===----------------------------------------------------------------------===//
 
@@ -114,22 +115,24 @@ void expectSameSemantics(const Metrics &A, const Metrics &B) {
 }
 
 TEST(SnapshotStoreTest, RoundTripByteIdentity) {
-  snapshot::BaseProgram B =
-      snapshot::buildBase(javalib::CollectionModel::OriginalJdk8);
-  std::vector<uint8_t> Image =
-      snapshot::serialize(B, javalib::CollectionModel::OriginalJdk8);
-  ASSERT_GT(Image.size(), snapshot::HeaderBytes);
+  for (javalib::CollectionModel Model :
+       {javalib::CollectionModel::OriginalJdk8,
+        javalib::CollectionModel::OriginalNoTreeNodes,
+        javalib::CollectionModel::SoundModulo}) {
+    SCOPED_TRACE(snapshot::modelToken(Model));
+    snapshot::BaseProgram B = snapshot::buildBase(Model);
+    std::vector<uint8_t> Image = snapshot::serialize(B, Model);
+    ASSERT_GT(Image.size(), snapshot::HeaderBytes);
 
-  snapshot::LoadResult Loaded =
-      snapshot::deserialize(Image, javalib::CollectionModel::OriginalJdk8);
-  ASSERT_TRUE(Loaded.ok()) << Loaded.Warning;
-  EXPECT_EQ(Loaded.Bytes, Image.size());
+    snapshot::LoadResult Loaded = snapshot::deserialize(Image, Model);
+    ASSERT_TRUE(Loaded.ok()) << Loaded.Warning;
+    EXPECT_EQ(Loaded.Bytes, Image.size());
 
-  // Decode → re-encode must reproduce the image bit for bit: the format
-  // has a single canonical encoding (fixed field order, no padding).
-  std::vector<uint8_t> Image2 = snapshot::serialize(
-      *Loaded.Data, javalib::CollectionModel::OriginalJdk8);
-  EXPECT_EQ(Image, Image2);
+    // Decode → re-encode must reproduce the image bit for bit: the format
+    // has a single canonical encoding (fixed field order, no padding).
+    std::vector<uint8_t> Image2 = snapshot::serialize(*Loaded.Data, Model);
+    EXPECT_EQ(Image, Image2);
+  }
 }
 
 TEST(SnapshotStoreTest, SaveAndLoadThroughDir) {
@@ -166,30 +169,55 @@ TEST(SnapshotStoreTest, ModelMismatchRejected) {
       << Loaded.Warning;
 }
 
+/// The first statement with opcode \p Op in \p P's base program.
+ir::Statement &firstStatement(ir::Program &P, ir::Opcode Op) {
+  for (uint32_t M = 0; M != P.methodCount(); ++M)
+    for (ir::Statement &S : P.method(ir::MethodId(M)).Statements)
+      if (S.Op == Op)
+        return S;
+  ADD_FAILURE() << "no statement with opcode " << static_cast<int>(Op);
+  static ir::Statement None;
+  return None;
+}
+
+/// The first method of \p P that has a body.
+ir::Method &firstBody(ir::Program &P) {
+  for (uint32_t M = 0; M != P.methodCount(); ++M)
+    if (!P.method(ir::MethodId(M)).Statements.empty())
+      return P.method(ir::MethodId(M));
+  ADD_FAILURE() << "no method with a body";
+  return P.method(ir::MethodId(0));
+}
+
 TEST(SnapshotStoreTest, RejectionPathsFallBackCleanly) {
+  constexpr javalib::CollectionModel Model =
+      javalib::CollectionModel::SoundModulo;
   TempDir Dir;
-  snapshot::BaseProgram B =
-      snapshot::buildBase(javalib::CollectionModel::SoundModulo);
-  ASSERT_EQ(snapshot::saveToDir(Dir.path(), B,
-                                javalib::CollectionModel::SoundModulo),
-            "");
-  const std::string Path =
-      snapshot::snapshotPath(Dir.path(), javalib::CollectionModel::SoundModulo);
+  snapshot::BaseProgram B = snapshot::buildBase(Model);
+  ASSERT_EQ(snapshot::saveToDir(Dir.path(), B, Model), "");
+  const std::string Path = snapshot::snapshotPath(Dir.path(), Model);
   const std::vector<uint8_t> Pristine = readFile(Path);
   ASSERT_GT(Pristine.size(), snapshot::HeaderBytes);
 
   // Reference result: builders only, no store anywhere.
-  std::string BuilderDigest;
+  std::string BuilderDigest, BuilderExplain;
   {
     AnalysisSession Session{SessionOptions{}};
     CellResult Cell = Session.open(petstoreApp(), AnalysisKind::Mod2ObjH);
     ASSERT_TRUE(bool(Cell)) << Cell.error().Message;
     BuilderDigest = Cell->canonicalDigest();
+    BuilderExplain = explainAll(*Cell);
   }
 
+  // A corruption either damages the image's bytes, or changes its base
+  // program and re-encodes it with a valid digest. The program defects
+  // leave every id in range, so only the per-opcode operand check (or the
+  // opcode range check) can reject them.
+  using ir::Opcode;
   struct Corruption {
     const char *Name;
-    void (*Apply)(std::vector<uint8_t> &);
+    void (*Bytes)(std::vector<uint8_t> &);
+    void (*Program)(ir::Program &) = nullptr;
   };
   const Corruption Cases[] = {
       {"truncated", [](std::vector<uint8_t> &I) { I.resize(I.size() / 2); }},
@@ -202,16 +230,83 @@ TEST(SnapshotStoreTest, RejectionPathsFallBackCleanly) {
        }},
       {"payload corrupted",
        [](std::vector<uint8_t> &I) { I.back() ^= 0x01; }},
+      {"opcode past Throw", nullptr,
+       [](ir::Program &P) {
+         firstStatement(P, Opcode::Alloc).Op = static_cast<Opcode>(
+             static_cast<uint8_t>(Opcode::Throw) + 1);
+       }},
+      {"alloc without site", nullptr,
+       [](ir::Program &P) {
+         firstStatement(P, Opcode::Alloc).Site = ir::AllocSiteId::invalid();
+       }},
+      {"alloc without dst", nullptr,
+       [](ir::Program &P) {
+         firstStatement(P, Opcode::Alloc).Dst = ir::VarId::invalid();
+       }},
+      {"virtual call without invoke", nullptr,
+       [](ir::Program &P) {
+         firstStatement(P, Opcode::VirtualCall).Invoke =
+             ir::InvokeId::invalid();
+       }},
+      {"virtual call without signature", nullptr,
+       [](ir::Program &P) {
+         firstStatement(P, Opcode::VirtualCall).CalleeSignature =
+             Symbol::invalid();
+       }},
+      {"virtual call without base", nullptr,
+       [](ir::Program &P) {
+         firstStatement(P, Opcode::VirtualCall).Base = ir::VarId::invalid();
+       }},
+      {"special call without callee", nullptr,
+       [](ir::Program &P) {
+         firstStatement(P, Opcode::SpecialCall).DirectCallee =
+             ir::MethodId::invalid();
+       }},
+      {"static call without callee", nullptr,
+       [](ir::Program &P) {
+         // The base library makes no static calls; append one.
+         ir::Statement Call;
+         Call.Op = Opcode::StaticCall;
+         Call.Invoke = ir::InvokeId(0);
+         firstBody(P).Statements.push_back(Call);
+       }},
+      {"load without field", nullptr,
+       [](ir::Program &P) {
+         firstStatement(P, Opcode::Load).FieldRef = ir::FieldId::invalid();
+       }},
+      {"store without base", nullptr,
+       [](ir::Program &P) {
+         firstStatement(P, Opcode::Store).Base = ir::VarId::invalid();
+       }},
+      {"catch clause without type", nullptr,
+       [](ir::Program &P) {
+         firstBody(P).Catches.push_back({ir::TypeId::invalid(), ir::VarId(0)});
+       }},
+      {"catch clause without variable", nullptr,
+       [](ir::Program &P) {
+         firstBody(P).Catches.push_back({ir::TypeId(0), ir::VarId::invalid()});
+       }},
   };
   for (const Corruption &C : Cases) {
+    SCOPED_TRACE(C.Name);
     std::vector<uint8_t> Bad = Pristine;
-    C.Apply(Bad);
+    if (C.Bytes) {
+      C.Bytes(Bad);
+    } else {
+      snapshot::LoadResult Decoded = snapshot::deserialize(Bad, Model);
+      ASSERT_TRUE(Decoded.ok()) << Decoded.Warning;
+      C.Program(*Decoded.Data->Base);
+      Bad = snapshot::serialize(*Decoded.Data, Model);
+    }
     writeFile(Path, Bad);
 
-    snapshot::LoadResult Loaded = snapshot::loadFromDir(
-        Dir.path(), javalib::CollectionModel::SoundModulo);
-    EXPECT_FALSE(Loaded.ok()) << C.Name;
-    EXPECT_FALSE(Loaded.Warning.empty()) << C.Name;
+    snapshot::LoadResult Loaded = snapshot::loadFromDir(Dir.path(), Model);
+    EXPECT_FALSE(Loaded.ok());
+    EXPECT_FALSE(Loaded.Warning.empty());
+    if (C.Program) {
+      EXPECT_NE(Loaded.Warning.find("program section"), std::string::npos)
+          << Loaded.Warning;
+    }
 
     // A session pointed at the broken store must warn, run the builders,
     // and produce the exact builder-path result.
@@ -221,13 +316,14 @@ TEST(SnapshotStoreTest, RejectionPathsFallBackCleanly) {
     testing::internal::CaptureStderr();
     CellResult Cell = Session.open(petstoreApp(), AnalysisKind::Mod2ObjH);
     std::string Stderr = testing::internal::GetCapturedStderr();
-    ASSERT_TRUE(bool(Cell)) << C.Name << ": " << Cell.error().Message;
+    ASSERT_TRUE(bool(Cell)) << Cell.error().Message;
     EXPECT_NE(Stderr.find("falling back to builders"), std::string::npos)
-        << C.Name << ": " << Stderr;
+        << Stderr;
     AnalysisSession::CacheStats CS = Session.cacheStats();
-    EXPECT_EQ(CS.SnapshotLoads, 0u) << C.Name;
-    EXPECT_EQ(CS.SnapshotBuilds, 1u) << C.Name;
-    EXPECT_EQ(Cell->canonicalDigest(), BuilderDigest) << C.Name;
+    EXPECT_EQ(CS.SnapshotLoads, 0u);
+    EXPECT_EQ(CS.SnapshotBuilds, 1u);
+    EXPECT_EQ(Cell->canonicalDigest(), BuilderDigest);
+    EXPECT_EQ(explainAll(*Cell), BuilderExplain);
   }
 }
 

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <random>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -98,7 +100,7 @@ TEST(SymbolTableTest, EmptyStringIsInternable) {
 }
 
 TEST(InsertOrderSetTest, InsertReportsNovelty) {
-  InsertOrderSet<int> Set;
+  InsertOrderSet Set;
   EXPECT_TRUE(Set.insert(1));
   EXPECT_FALSE(Set.insert(1));
   EXPECT_TRUE(Set.insert(2));
@@ -106,31 +108,94 @@ TEST(InsertOrderSetTest, InsertReportsNovelty) {
 }
 
 TEST(InsertOrderSetTest, IterationIsInsertionOrder) {
-  InsertOrderSet<int> Set;
-  for (int V : {5, 3, 9, 1, 7})
+  InsertOrderSet Set;
+  for (uint32_t V : {5u, 3u, 9u, 1u, 7u})
     Set.insert(V);
-  std::vector<int> Seen(Set.begin(), Set.end());
-  EXPECT_EQ(Seen, (std::vector<int>{5, 3, 9, 1, 7}));
+  std::vector<uint32_t> Seen(Set.begin(), Set.end());
+  EXPECT_EQ(Seen, (std::vector<uint32_t>{5, 3, 9, 1, 7}));
 }
 
 TEST(InsertOrderSetTest, IndexingIsStableUnderInsertion) {
-  InsertOrderSet<int> Set;
+  InsertOrderSet Set;
   Set.insert(10);
   Set.insert(20);
-  const int &Ref = Set[0];
-  for (int I = 0; I != 1000; ++I)
+  for (uint32_t I = 0; I != 1000; ++I)
     Set.insert(100 + I);
-  EXPECT_EQ(Set[0], 10);
-  EXPECT_EQ(Set[1], 20);
-  (void)Ref;
+  EXPECT_EQ(Set[0], 10u);
+  EXPECT_EQ(Set[1], 20u);
 }
 
 TEST(InsertOrderSetTest, Clear) {
-  InsertOrderSet<int> Set;
-  Set.insert(1);
+  InsertOrderSet Set;
+  for (uint32_t I = 0; I != 2 * InsertOrderSet::ScanLimit; ++I)
+    Set.insert(I);
   Set.clear();
   EXPECT_TRUE(Set.empty());
+  EXPECT_FALSE(Set.contains(1));
   EXPECT_TRUE(Set.insert(1));
+}
+
+/// Differential against a hash set plus an order vector. Sizes cover the
+/// scan-only regime, the switch itself and sets far past it. Descending
+/// ids size the bitset at the switch; ascending, random and small-first
+/// ids keep growing it afterwards.
+TEST(InsertOrderSetTest, RandomizedDifferentialAgainstHashSet) {
+  constexpr uint32_t MaxId = 8192;
+  std::mt19937 Rng(20201015);
+  std::uniform_int_distribution<uint32_t> AnyId(0, MaxId);
+
+  enum class Order { Descending, Ascending, Random, SmallThenLarge };
+  for (Order O : {Order::Descending, Order::Ascending, Order::Random,
+                  Order::SmallThenLarge}) {
+    for (size_t Inserts :
+         {InsertOrderSet::ScanLimit, InsertOrderSet::ScanLimit + 1,
+          size_t(3000), size_t(12000)}) {
+      SCOPED_TRACE("order=" + std::to_string(static_cast<int>(O)) +
+                   " inserts=" + std::to_string(Inserts));
+      InsertOrderSet Set;
+      std::unordered_set<uint32_t> RefMembers;
+      std::vector<uint32_t> RefOrder;
+      for (size_t Step = 0; Step != Inserts; ++Step) {
+        uint32_t Id = 0;
+        switch (O) {
+        case Order::Descending:
+          Id = MaxId - static_cast<uint32_t>(Step % (MaxId + 1));
+          break;
+        case Order::Ascending:
+          Id = static_cast<uint32_t>(Step * 3 % (MaxId + 1));
+          break;
+        case Order::Random:
+          Id = AnyId(Rng);
+          break;
+        case Order::SmallThenLarge:
+          // Small ids past the switch, then every id.
+          Id = Step < 4 * InsertOrderSet::ScanLimit
+                   ? static_cast<uint32_t>(Step % 40)
+                   : AnyId(Rng);
+          break;
+        }
+        bool RefNew = RefMembers.insert(Id).second;
+        if (RefNew)
+          RefOrder.push_back(Id);
+        ASSERT_EQ(Set.insert(Id), RefNew) << "step " << Step;
+        ASSERT_EQ(Set.size(), RefOrder.size()) << "step " << Step;
+        ASSERT_TRUE(Set.contains(Id));
+        // A probe that may or may not be a member, including ids past the
+        // largest member and past the bitset's words.
+        uint32_t Probe = AnyId(Rng) + (Step % 7 == 0 ? MaxId : 0);
+        ASSERT_EQ(Set.contains(Probe), RefMembers.count(Probe) != 0)
+            << "step " << Step << " probe " << Probe;
+        size_t Last = RefOrder.size() - 1, Any = Step % RefOrder.size();
+        ASSERT_EQ(Set[Last], RefOrder[Last]);
+        ASSERT_EQ(Set[Any], RefOrder[Any]);
+        ASSERT_TRUE(std::equal(Set.begin(), Set.end(), RefOrder.begin(),
+                               RefOrder.end()))
+            << "step " << Step;
+      }
+      for (uint32_t Id = 0; Id <= MaxId + 64; ++Id)
+        ASSERT_EQ(Set.contains(Id), RefMembers.count(Id) != 0) << Id;
+    }
+  }
 }
 
 TEST(HashingTest, PackPairIsInjectiveOnHalves) {
