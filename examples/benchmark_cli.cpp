@@ -5,7 +5,7 @@
 // A command-line front end over `core::AnalysisSession`: pick any set of
 // benchmarks and analysis configurations, get the paper's metric rows for
 // the full matrix. Cells decode cached base-program images and fan out
-// across a job pool.
+// across `--jobs` threads.
 //
 //   benchmark_cli                      # list benchmarks and analyses
 //   benchmark_cli webgoat mod-2objH
@@ -76,12 +76,8 @@ int usage() {
               "\nRuns the full benchmark x analysis matrix.\n\n");
   std::printf("options:\n"
               "  --jobs=N               matrix workers "
-              "(default: JACKEE_JOBS or hardware)\n"
-              "  --solver-threads=N     per-cell points-to solver workers "
-              "(default: 1 when\n"
-              "                         jobs > 1; also via "
-              "JACKEE_SOLVER_THREADS) — results are\n"
-              "                         bit-identical at any N\n"
+              "(default: JACKEE_JOBS or hardware) —\n"
+              "                         results are bit-identical at any N\n"
               "  --plan=MODE            Datalog join planning: 'greedy' "
               "(cost-guided,\n"
               "                         the default) or 'textual' (body "
@@ -109,8 +105,8 @@ int usage() {
               "                         also prints a flame summary\n"
               "  --trace-structure=FILE write the timestamp-free span tree "
               "(bit-identical\n"
-              "                         at any --jobs/--solver-threads — "
-              "for determinism diffs)\n"
+              "                         at any --jobs — for determinism "
+              "diffs)\n"
               "  --profile              deep profiler (also via "
               "JACKEE_PROFILE): per-rule and\n"
               "                         per-relation cost attribution plus "
@@ -123,9 +119,8 @@ int usage() {
               "scripts/profile_report.py\n"
               "  --profile-text=FILE    write the deterministic text "
               "reports (bit-identical\n"
-              "                         at any --jobs/--solver-threads/"
-              "--plan — for CI\n"
-              "                         byte-diffs)\n"
+              "                         at any --jobs/--plan — for CI "
+              "byte-diffs)\n"
               "  --explain=QUERY        run ONE (benchmark, analysis) cell "
               "with provenance\n"
               "                         recording and print the derivation "
@@ -480,13 +475,6 @@ int main(int Argc, char **Argv) {
       EditScript = Argv[I] + 7;
     } else if (std::strcmp(Argv[I], "--edit-scratch") == 0) {
       EditScratch = true;
-    } else if (std::strncmp(Argv[I], "--solver-threads=", 17) == 0) {
-      long N = parseCount(Argv[I] + 17);
-      if (N < 0) {
-        std::printf("error: --solver-threads must be in 1..256\n\n");
-        return usage();
-      }
-      Options.SolverThreads = static_cast<unsigned>(N);
     } else if (std::strncmp(Argv[I], "--jobs=", 7) == 0) {
       long N = parseCount(Argv[I] + 7);
       if (N < 0) {

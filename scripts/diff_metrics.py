@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Semantic diff of two benchmark_cli --benchmark_out JSON files.
 
-The solver determinism contract (DESIGN.md §11) says every analysis
-answer is bit-identical at any JACKEE_SOLVER_THREADS / JACKEE_JOBS
-setting — only wall-clock, RSS, and scheduling observables may differ. This script enforces exactly that split: it compares the two
-files' benchmark entries field by field, ignoring the volatile fields, and
-exits non-zero on any semantic mismatch.
+The determinism contract (DESIGN.md §7, §10) says every analysis answer is
+bit-identical at any JACKEE_JOBS / JACKEE_PLAN setting — only wall-clock,
+RSS, and scheduling observables may differ. This script enforces exactly
+that split: it compares the two files' benchmark entries field by field,
+ignoring the volatile fields, and exits non-zero on any semantic mismatch.
 
 Usage: diff_metrics.py [--incremental] BASELINE.json OTHER.json
 
@@ -19,16 +19,13 @@ provenance/glue trails accumulate across epochs.
 import json
 import sys
 
-# Fields that legitimately vary run to run or with the worker count.
+# Fields that legitimately vary run to run or with the job count.
 # Everything else must match exactly.
 VOLATILE_SUBSTRINGS = (
     "seconds",          # real_time is seconds too, plus *_seconds phases
     "real_time",
     "tuples_per_sec",
     "peak_rss",
-    "solver_threads",
-    "pointsto.sched",
-    "pointsto.shard.steals",
     "snapshot.load",    # session.snapshot.load_ns is wall-clock
     "profile.sink",     # event/byte counts vary with tracing and job
                         # interleaving (profile.census.* stays exact)

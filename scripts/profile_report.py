@@ -6,7 +6,7 @@ profile field in two:
 
  - *deterministic* fields (rule passes/rounds/derivations/matches, relation
    tuple/live/dead counts and exact payload bytes, the entire points-to
-   census, phase names and order) are bit-identical at any thread count and
+   census, phase names and order) are bit-identical at any job count and
    join-plan mode — this script compares them exactly and any mismatch is a
    hard failure (exit 1);
  - *volatile* fields (wall seconds, RSS, capacity-derived `*_approx` bytes,

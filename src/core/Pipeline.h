@@ -136,8 +136,7 @@ struct Metrics {
   // Solver effort (for ablations and sanity checks).
   uint64_t SolverWorkItems = 0;
   uint64_t SolverEdges = 0;
-  uint64_t SolverRounds = 0;    ///< sharded drain rounds (thread-invariant)
-  unsigned SolverThreads = 1;   ///< resolved solver worker count
+  uint64_t SolverRounds = 0;    ///< staged drain rounds
 
   // Provenance recording (zero unless enabled via
   // `SessionOptions::Provenance` / `JACKEE_PROVENANCE`).
@@ -191,10 +190,9 @@ struct EngineOptions {
   /// planner; results are bit-identical in either mode.
   datalog::PlanMode Plan = datalog::PlanMode::Auto;
 
-  /// Worker threads for the points-to solver's sharded worklist drain.
-  /// 0 resolves the `JACKEE_SOLVER_THREADS` environment variable, falling
-  /// back to `hardware_concurrency`; 1 runs rounds inline. The fixpoint is
-  /// bit-identical at any setting (see DESIGN.md §11).
+  /// Unused: the points-to solver is sequential. The field stays only
+  /// because the end-to-end benchmark driver (perfbench/driver.cpp)
+  /// assigns it.
   unsigned SolverThreads = 0;
 
   /// Directory of an AOT snapshot store written by `benchmark_cli

@@ -193,7 +193,6 @@ std::string jackee::core::metricsToJson(const Metrics &M, unsigned Indent) {
   field("entry_points_exercised", std::to_string(M.EntryPointsExercised));
   field("beans_created", std::to_string(M.BeansCreated));
   field("injections_applied", std::to_string(M.InjectionsApplied));
-  field("solver_threads", std::to_string(M.SolverThreads));
   field("solver_rounds", std::to_string(M.SolverRounds));
   field("solver_work_items", std::to_string(M.SolverWorkItems));
   field("datalog_tuples_derived", std::to_string(M.DatalogTuplesDerived));

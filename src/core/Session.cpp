@@ -9,13 +9,15 @@
 #include "datalog/Database.h"
 #include "snapshot/Snapshot.h"
 #include "support/Env.h"
-#include "support/WorkQueue.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
+#include <thread>
 #include <unordered_map>
 
 using namespace jackee;
@@ -534,9 +536,7 @@ AnalysisResult AnalysisCell::update(const CellDelta &Delta) {
     //    glue — its cross-round progress forgotten — re-exercises entry
     //    points and re-applies injections from scratch.
     FMRef.resetForResolve();
-    pointsto::SolverConfig SC = solverConfig(Kind);
-    SC.Threads = SolverThreadsReq;
-    Solver_ = std::make_unique<Solver>(P, SC);
+    Solver_ = std::make_unique<Solver>(P, solverConfig(Kind));
     Solver_->setTracer(Trace);
     Solver_->setMetricsRegistry(Registry.get());
     Solver_->addPlugin(&FMRef);
@@ -555,7 +555,6 @@ AnalysisResult AnalysisCell::update(const CellDelta &Delta) {
     Solver_->solve();
   }
   M.ElapsedSeconds = secondsSince(SolveStart);
-  M.SolverThreads = Solver_->config().Threads;
   Registry->set("process.peak_rss.solve_bytes",
                 static_cast<double>(observe::processPeakRssBytes()));
 
@@ -620,8 +619,6 @@ unsigned AnalysisSession::defaultJobCount() {
 AnalysisSession::AnalysisSession(SessionOptions Opts) : Options(Opts) {
   Jobs = Options.Jobs ? std::clamp(Options.Jobs, 1u, 256u)
                       : defaultJobCount();
-  SolverCellThreads = Options.SolverThreads ? Options.SolverThreads
-                                            : (Jobs > 1 ? 1u : 0u);
   RecordProvenance = Options.Provenance || env::flagVar("JACKEE_PROVENANCE");
   SnapshotDir = Options.SnapshotDir;
   if (SnapshotDir.empty())
@@ -714,7 +711,6 @@ CellResult AnalysisSession::openCell(const Application &App,
   Cell->AppName = App.Name;
   Cell->MainClass = App.MainClass;
   Cell->Kind = Kind;
-  Cell->SolverThreadsReq = SolverCellThreads;
   Cell->Profiled = ProfileCells;
   Cell->Trace = Trace.get();
   Cell->Events = Events.get();
@@ -805,14 +801,11 @@ CellResult AnalysisSession::openCell(const Application &App,
   Cell->Watermark = facts::Extractor::watermarkOf(P);
   Cell->AllocWatermark = P.allocSiteCount();
 
-  pointsto::SolverConfig SC = solverConfig(Kind);
-  SC.Threads = SolverCellThreads;
-  Cell->Solver_ = std::make_unique<Solver>(P, SC);
+  Cell->Solver_ = std::make_unique<Solver>(P, solverConfig(Kind));
   Solver &S = *Cell->Solver_;
   S.setTracer(Trace.get());
   S.setMetricsRegistry(&Registry);
   S.addPlugin(&FM);
-  M.SolverThreads = S.config().Threads;
   M.PopulateSeconds = secondsSince(PopulateStart);
   PopulateSpan.end();
 
@@ -871,7 +864,7 @@ AnalysisSession::runMatrix(const std::vector<Application> &Apps,
   MatrixSpan.arg("kinds", Kinds.size());
   MatrixSpan.arg("cells", N);
 
-  auto RunOne = [&](uint32_t I) {
+  auto RunOne = [&](size_t I) {
     const Application &App = Apps[I / Kinds.size()];
     AnalysisKind Kind = Kinds[I % Kinds.size()];
     // Per-cell progress heartbeats through the shared event sink, so long
@@ -895,15 +888,39 @@ AnalysisSession::runMatrix(const std::vector<Application> &Apps,
           .num("ok", static_cast<uint64_t>(Ok));
   };
 
-  unsigned Workers =
-      static_cast<unsigned>(std::min<size_t>(Jobs, N));
-  if (Workers <= 1) {
-    for (uint32_t I = 0; I != N; ++I)
+  // Workers pull cell indexes from one shared cursor, so uneven cells
+  // balance without locking; each cell writes only its own slot.
+  std::atomic<size_t> NextCell{0};
+  auto Drain = [&] {
+    while (true) {
+      size_t I = NextCell.fetch_add(1, std::memory_order_relaxed);
+      if (I >= N)
+        return;
       RunOne(I);
+    }
+  };
+  const size_t Workers = std::min<size_t>(Jobs, N);
+  if (Workers <= 1) {
+    Drain();
   } else {
-    WorkerPool Pool(Workers);
-    Pool.runBatch(static_cast<uint32_t>(N),
-                  [&](uint32_t Task, unsigned) { RunOne(Task); });
+    // A worker that throws stops pulling cells; its exception is rethrown
+    // on the calling thread once every worker has joined.
+    std::vector<std::exception_ptr> Failures(Workers);
+    {
+      std::vector<std::jthread> Threads;
+      Threads.reserve(Workers);
+      for (size_t W = 0; W != Workers; ++W)
+        Threads.emplace_back([&, W] {
+          try {
+            Drain();
+          } catch (...) {
+            Failures[W] = std::current_exception();
+          }
+        });
+    } // joining the jthreads publishes every slot
+    for (const std::exception_ptr &Failure : Failures)
+      if (Failure)
+        std::rethrow_exception(Failure);
   }
 
   std::vector<AnalysisResult> Results;

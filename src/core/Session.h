@@ -23,11 +23,11 @@
 ///    populates its application on top.
 ///
 ///  - **Batch matrix driver.** `runMatrix(Apps, Kinds)` fans the cells out
-///    over a `WorkerPool` of `SessionOptions::Jobs` workers (0 resolves
-///    `JACKEE_JOBS`, then `hardware_concurrency`). Cells are independent
-///    (own symbol table, program, database, solver), so results are
-///    returned in deterministic app-major order and are bit-identical to
-///    sequential execution at any job count.
+///    over `SessionOptions::Jobs` threads (0 resolves `JACKEE_JOBS`, then
+///    `hardware_concurrency`) that pull cell indexes from one shared
+///    cursor. Cells are independent (own symbol table, program, database,
+///    solver), so results are returned in deterministic app-major order
+///    and are bit-identical to sequential execution at any job count.
 ///
 ///  - **Live cells.** `open(App, Kind)` runs a cell and *keeps it open* as
 ///    an `AnalysisCell`: the symbol table, program, fact database, rule
@@ -59,15 +59,10 @@
 namespace jackee {
 namespace core {
 
-/// Session-wide knobs. Per-analysis configuration stays in `AnalysisKind`.
-///
-/// The engine knobs (`SolverThreads`, `Plan`) are inherited from
-/// `EngineOptions` — one struct shared with `runAnalysis` — with a
-/// session-specific twist to the `0` default: when the session runs cells
-/// in parallel (`Jobs > 1`), the per-cell solver thread count defaults to 1
-/// (the matrix is the parallelism — nesting a per-cell pool under every
-/// matrix worker would oversubscribe quadratically); otherwise the solver's
-/// own `JACKEE_SOLVER_THREADS`/hardware default applies.
+/// Session-wide knobs. Per-analysis configuration stays in `AnalysisKind`;
+/// the engine knobs (`Plan`, `SnapshotDir`, `Profile`) are inherited from
+/// `EngineOptions`, one struct shared with `runAnalysis`. `Jobs` is the
+/// only parallelism: each cell runs on one thread.
 struct SessionOptions : EngineOptions {
   /// Matrix workers for `runMatrix`. 0 resolves the `JACKEE_JOBS`
   /// environment variable, falling back to `hardware_concurrency`;
@@ -96,8 +91,8 @@ struct SessionOptions : EngineOptions {
   /// value turns it on and names a file the session writes as Chrome
   /// trace-event JSON on destruction (see support/Env.h).
   /// The timestamp-stripped span structure (`observe::renderStructure`) is
-  /// bit-identical at any `Jobs`/`SolverThreads` setting — see
-  /// observe/Trace.h for the contract.
+  /// bit-identical at any `Jobs` setting — see observe/Trace.h for the
+  /// contract.
   bool Trace = false;
 
   /// Mock-policy tuning, applied to every cell.
@@ -192,7 +187,7 @@ public:
   /// for program sites and unique labels for framework-created objects),
   /// and call-graph edges. Equal cell states — e.g. an updated cell vs. a
   /// from-scratch run of `applyDelta` — produce byte-identical dumps at
-  /// any thread-count setting. The differential oracle of the incremental
+  /// any job count. The differential oracle of the incremental
   /// tests and CI.
   std::string canonicalDigest() const;
 
@@ -234,7 +229,6 @@ private:
   std::string AppName;
   std::string MainClass;
   AnalysisKind Kind = AnalysisKind::CI;
-  unsigned SolverThreadsReq = 0;
   bool Profiled = false;            ///< deep profiler on for this cell
   observe::Tracer *Trace = nullptr; ///< session-owned; may be null
   observe::EventSink *Events = nullptr; ///< session-owned; may be null
@@ -323,8 +317,8 @@ public:
   /// `open` that keeps only the metrics.
   AnalysisResult run(const Application &App, AnalysisKind Kind);
 
-  /// Runs the full \p Apps × \p Kinds matrix across the session's job
-  /// pool and returns one result per cell in app-major order
+  /// Runs the full \p Apps × \p Kinds matrix on the session's `Jobs`
+  /// threads and returns one result per cell in app-major order
   /// (`Results[A * Kinds.size() + K]`). Results are bit-identical to
   /// sequential execution at any job count, modulo wall-clock fields.
   ///
@@ -404,7 +398,6 @@ private:
 
   SessionOptions Options;
   unsigned Jobs = 1;        ///< resolved matrix worker count
-  unsigned SolverCellThreads = 0; ///< per-cell solver worker request
   bool RecordProvenance = false; ///< Options.Provenance or JACKEE_PROVENANCE
   std::string SnapshotDir; ///< resolved AOT store directory ("" = disabled)
   bool ProfileCells = false; ///< Options.Profile or JACKEE_PROFILE

@@ -59,10 +59,8 @@ void Relation::bulkLoad(std::span<const Symbol> FlatTuples) {
     uint32_t NewIndex = size();
     Data.insert(Data.end(), FlatTuples.begin() + size_t(I) * Arity,
                 FlatTuples.begin() + size_t(I + 1) * Arity);
-    if (!Dedup.insert(NewIndex).second) {
-      assert(false && "bulk-loaded tuples must be pre-deduplicated");
-      Data.resize(size_t(NewIndex) * Arity);
-    }
+    if (!Dedup.insert(NewIndex).second)
+      Data.resize(size_t(NewIndex) * Arity); // a repeat: keep the first
   }
 }
 

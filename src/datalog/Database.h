@@ -69,7 +69,8 @@ public:
   /// seeding a cell's relations from a captured base-fact snapshot
   /// (facts::BaseFactSet) without re-hashing each tuple through
   /// `insert`. Only valid on a fresh relation: no tuples, no indexes,
-  /// no tombstones yet.
+  /// no tombstones yet. Captured facts are distinct; a tuple repeated by
+  /// a corrupt snapshot image is dropped, as `insert` would drop it.
   void bulkLoad(std::span<const Symbol> FlatTuples);
 
   /// The flat tuple store (`size() * arity()` symbols, dense-index

@@ -7,6 +7,7 @@
 #include "datalog/Parser.h"
 
 #include <cctype>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <vector>
@@ -360,7 +361,11 @@ private:
       return true;
     }
     if (peek().Kind == TokenKind::LParen) {
+      if (GroupDepth == MaxGroupDepth)
+        return fail("parenthesized groups nest deeper than " +
+                    std::to_string(MaxGroupDepth) + " levels");
       advance();
+      ++GroupDepth;
       Out.ItemKind = BodyItem::Kind::Disjunction;
       while (true) {
         BodyConj Alt;
@@ -373,6 +378,7 @@ private:
         }
         break;
       }
+      --GroupDepth;
       return expect(TokenKind::RParen, "')'");
     }
     // Atom or constraint: atom iff an identifier is followed by '('.
@@ -414,54 +420,66 @@ private:
     }
   }
 
-  /// Expands the item tree into flat (atoms, constraints) alternatives —
-  /// the cartesian product over all disjunctions.
-  void expandBody(const BodyConj &Conj, size_t ItemIndex,
-                  std::vector<Atom> &Atoms,
-                  std::vector<Constraint> &Constraints,
-                  std::vector<std::pair<std::vector<Atom>,
-                                        std::vector<Constraint>>> &Out) {
-    if (ItemIndex == Conj.Items.size()) {
-      Out.emplace_back(Atoms, Constraints);
-      return;
-    }
-    const BodyItem &Item = Conj.Items[ItemIndex];
-    switch (Item.ItemKind) {
-    case BodyItem::Kind::AtomItem:
-      Atoms.push_back(Item.TheAtom);
-      expandBody(Conj, ItemIndex + 1, Atoms, Constraints, Out);
-      Atoms.pop_back();
-      return;
-    case BodyItem::Kind::ConstraintItem:
-      Constraints.push_back(Item.TheConstraint);
-      expandBody(Conj, ItemIndex + 1, Atoms, Constraints, Out);
-      Constraints.pop_back();
-      return;
-    case BodyItem::Kind::Disjunction:
-      for (const BodyConj &Alt : Item.Alternatives) {
-        size_t AtomMark = Atoms.size();
-        size_t ConstraintMark = Constraints.size();
-        // Inline the alternative's items, then continue with our own tail.
-        // Nested disjunctions are handled by recursion through a synthetic
-        // conjunction that concatenates Alt.Items with our remaining items.
-        BodyConj Combined;
-        Combined.Items.insert(Combined.Items.end(), Alt.Items.begin(),
-                              Alt.Items.end());
-        Combined.Items.insert(Combined.Items.end(),
-                              Conj.Items.begin() + ItemIndex + 1,
-                              Conj.Items.end());
-        expandBody(Combined, 0, Atoms, Constraints, Out);
-        Atoms.resize(AtomMark);
-        Constraints.resize(ConstraintMark);
+  /// One desugared body: its atoms and constraints.
+  using FlatBody = std::pair<std::vector<Atom>, std::vector<Constraint>>;
+
+  /// Expands \p Conj into flat bodies — the cartesian product over its
+  /// disjunctions, the earliest disjunction varying slowest. Atoms and
+  /// constraints append in a loop; only a disjunction recurses, into its
+  /// alternatives, so the depth is the group nesting `parseBodyItem`
+  /// bounds.
+  bool expandBody(const BodyConj &Conj, std::vector<FlatBody> &Out) {
+    Out.assign(1, FlatBody());
+    for (const BodyItem &Item : Conj.Items) {
+      switch (Item.ItemKind) {
+      case BodyItem::Kind::AtomItem:
+        for (FlatBody &Body : Out)
+          Body.first.push_back(Item.TheAtom);
+        break;
+      case BodyItem::Kind::ConstraintItem:
+        for (FlatBody &Body : Out)
+          Body.second.push_back(Item.TheConstraint);
+        break;
+      case BodyItem::Kind::Disjunction: {
+        std::vector<FlatBody> Choices, AltBodies;
+        for (const BodyConj &Alt : Item.Alternatives) {
+          if (!expandBody(Alt, AltBodies))
+            return false;
+          if (Choices.size() + AltBodies.size() > MaxBodyAlternatives)
+            return tooManyAlternatives();
+          std::move(AltBodies.begin(), AltBodies.end(),
+                    std::back_inserter(Choices));
+        }
+        if (Out.size() * Choices.size() > MaxBodyAlternatives)
+          return tooManyAlternatives();
+        std::vector<FlatBody> Product;
+        Product.reserve(Out.size() * Choices.size());
+        for (const FlatBody &Prefix : Out)
+          for (const FlatBody &Choice : Choices) {
+            FlatBody &Body = Product.emplace_back(Prefix);
+            Body.first.insert(Body.first.end(), Choice.first.begin(),
+                              Choice.first.end());
+            Body.second.insert(Body.second.end(), Choice.second.begin(),
+                               Choice.second.end());
+          }
+        Out = std::move(Product);
+        break;
       }
-      return;
+      }
     }
+    return true;
+  }
+
+  bool tooManyAlternatives() {
+    return fail("rule body expands to more than " +
+                std::to_string(MaxBodyAlternatives) + " alternatives");
   }
 
   // rule := head (',' head)* (':-' body)? '.'
   bool parseRule(ParserResult &Result) {
     VarIndexes.clear();
     VarCounter = 0;
+    GroupDepth = 0;
     uint32_t RuleLine = peek().Line;
 
     std::vector<Atom> Heads;
@@ -477,16 +495,13 @@ private:
       break;
     }
 
-    std::vector<std::pair<std::vector<Atom>, std::vector<Constraint>>>
-        Alternatives;
+    std::vector<FlatBody> Alternatives;
     if (peek().Kind == TokenKind::Turnstile) {
       advance();
       BodyConj Body;
-      if (!parseConjunction(Body, /*InsideParens=*/false))
+      if (!parseConjunction(Body, /*InsideParens=*/false) ||
+          !expandBody(Body, Alternatives))
         return false;
-      std::vector<Atom> Atoms;
-      std::vector<Constraint> Constraints;
-      expandBody(Body, 0, Atoms, Constraints, Alternatives);
     } else {
       Alternatives.emplace_back(); // fact: one empty body
     }
@@ -518,6 +533,7 @@ private:
   std::string Error;
   std::map<std::string, uint32_t> VarIndexes;
   uint32_t VarCounter = 0;
+  uint32_t GroupDepth = 0; ///< open parenthesized groups in this rule
 };
 
 } // namespace

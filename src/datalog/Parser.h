@@ -42,6 +42,16 @@
 namespace jackee {
 namespace datalog {
 
+/// Deepest nesting of parenthesized body groups accepted. The framework
+/// models nest one or two levels; the bound keeps the recursive descent's
+/// stack use fixed whatever the input.
+inline constexpr uint32_t MaxGroupDepth = 64;
+
+/// Most plain bodies one rule's disjunctions may expand into (the product
+/// of their alternative counts). Desugaring materializes every one, so the
+/// bound keeps a short rule text from demanding exponential memory.
+inline constexpr size_t MaxBodyAlternatives = 4096;
+
 /// Result of parsing a rule-text unit.
 struct ParserResult {
   bool Ok = false;

@@ -25,11 +25,11 @@
 ///     write through, so long corpus runs are observable in flight.
 ///
 /// **Determinism contract.** Every field is classified as either
-/// *deterministic* — bit-identical at any `JACKEE_SOLVER_THREADS` setting
-/// and under both join-plan modes — or *volatile* (wall time, RSS,
-/// capacity-derived bytes, plan-dependent planner numbers).
+/// *deterministic* — bit-identical at any `JACKEE_JOBS` setting and under
+/// both join-plan modes — or *volatile* (wall time, RSS, capacity-derived
+/// bytes, plan-dependent planner numbers).
 /// `renderProfileText` emits only deterministic fields, so the text report
-/// byte-diffs across the whole thread × plan grid;
+/// byte-diffs across the whole job × plan grid;
 /// `profileToJson` emits everything, with volatile keys named so
 /// `scripts/profile_report.py` can threshold instead of exact-compare
 /// them (`*_seconds`, `*_rss_*`, `*_approx`, `tuples_considered`,
@@ -136,7 +136,7 @@ struct Profile {
 
 /// Renders the deterministic report: top-\p TopK hot rules (by derivations)
 /// and hot relations (by payload bytes) plus the full census. Emits only
-/// deterministic fields, so the output is bit-identical across the thread ×
+/// deterministic fields, so the output is bit-identical across the job ×
 /// plan grid (the profile-smoke CI byte-diff).
 std::string renderProfileText(const Profile &P, size_t TopK = 10);
 

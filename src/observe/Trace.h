@@ -20,7 +20,7 @@
 /// iterations. Span names, nesting, and args carry only deterministic
 /// quantities (round indexes, tuple counts, rule counts), so the
 /// timestamp-stripped span tree is bit-identical at any `JACKEE_JOBS` /
-/// `JACKEE_SOLVER_THREADS` / `JACKEE_PLAN` setting (DESIGN.md §9).
+/// `JACKEE_PLAN` setting (DESIGN.md §9).
 /// `renderStructure` renders exactly this tree, sorting sibling subtrees so
 /// concurrent cells serialize canonically.
 ///

@@ -7,13 +7,10 @@
 #include "pointsto/Solver.h"
 
 #include "observe/Metrics.h"
-#include "support/Env.h"
-#include "support/WorkQueue.h"
 
 #include <algorithm>
 #include <map>
 #include <string_view>
-#include <thread>
 
 using namespace jackee;
 using namespace jackee::ir;
@@ -21,28 +18,8 @@ using namespace jackee::pointsto;
 
 const std::vector<NodeId> Solver::NoInstances;
 
-namespace {
-
-/// Resolves `SolverConfig::Threads == 0`: the `JACKEE_SOLVER_THREADS`
-/// environment variable first, then the hardware, clamped to [1, 256].
-unsigned resolveSolverThreads(unsigned Requested) {
-  return env::resolveWorkerCount(Requested, "JACKEE_SOLVER_THREADS");
-}
-
-/// Rounds smaller than this run inline even at Threads > 1: two pool
-/// barriers cost more than propagating a handful of items. Purely a
-/// scheduling decision — both paths execute the identical staged algorithm
-/// in the identical order.
-constexpr size_t ParallelRoundThreshold = 128;
-
-} // namespace
-
 Solver::Solver(const Program &P, SolverConfig Config)
-    : P(P), Config(Config), Shards(NumShards) {
-  this->Config.Threads = resolveSolverThreads(Config.Threads);
-}
-
-Solver::~Solver() = default;
+    : P(P), Config(Config), Shards(NumShards) {}
 
 //===----------------------------------------------------------------------===//
 // Interning
@@ -335,8 +312,8 @@ void Solver::seedObjectField(ValueId Base, FieldId F, ValueId V) {
 
 void Solver::phaseShard(uint32_t ShardIndex) {
   // Read-only over the frozen solver state: points-to sets, edges,
-  // reactions, values and the program are mutated only at the barrier, so
-  // concurrent phase workers never race. Staging is source-shard-local.
+  // reactions, values and the program change only in the merge and at the
+  // barrier. Staging is source-shard-local.
   Shard &S = Shards[ShardIndex];
   for (const WorkItem &Item : S.Current) {
     const uint32_t NIdx = Item.N.index();
@@ -344,9 +321,9 @@ void Solver::phaseShard(uint32_t ShardIndex) {
     for (const Edge &E : Edges[NIdx]) {
       if (!passesFilter(V, E.Filter))
         continue;
-      // Frozen-state dedup: moves the membership probe (a short scan or a
-      // bitset read) into the parallel phase. A stale miss just re-checks
-      // at the merge.
+      // Frozen-state dedup: a target that already holds V at the start of
+      // the round gets no staged item. A value that reaches the target
+      // later in the round is caught by the merge's insert.
       if (PointsTo[E.Target.index()].contains(V.rawValue()))
         continue;
       S.StagedProps[shardOf(E.Target)].push_back({E.Target, V});
@@ -356,14 +333,11 @@ void Solver::phaseShard(uint32_t ShardIndex) {
     if (Nodes[NIdx].Kind == NodeKind::CatchDispatch)
       S.StagedCatches.push_back({CMethodId(Nodes[NIdx].A), V});
   }
-  S.PhaseItems = S.Current.size();
 }
 
 void Solver::mergeShard(uint32_t ShardIndex) {
   // Applies every staged propagation targeting this shard in canonical
-  // source-shard-major order. Only this task touches the shard's points-to
-  // entries and Pending queue, so running all merges concurrently yields
-  // the same state as running them sequentially.
+  // source-shard-major order.
   for (uint32_t Src = 0; Src != NumShards; ++Src) {
     std::vector<WorkItem> &Bucket = Shards[Src].StagedProps[ShardIndex];
     for (const WorkItem &Item : Bucket)
@@ -393,36 +367,16 @@ void Solver::drainWorklist() {
     ++SolverStats.Rounds;
     SolverStats.WorkItems += Total;
 
-    const bool Parallel =
-        Config.Threads > 1 && Total >= ParallelRoundThreshold;
-    if (Parallel) {
-      if (!Pool)
-        Pool = std::make_unique<WorkerPool>(
-            std::min(Config.Threads, NumShards));
-      ++ParallelRounds;
-      const unsigned Workers = Pool->workerCount();
-      Pool->runBatch(NumShards, [this, Workers](uint32_t Task,
-                                                unsigned Worker) {
-        if (Task % Workers != Worker)
-          ++Shards[Task].Steals;
-        phaseShard(Task);
-      });
-      Pool->runBatch(NumShards,
-                     [this](uint32_t Task, unsigned) { mergeShard(Task); });
-    } else {
-      for (uint32_t I = 0; I != NumShards; ++I)
-        phaseShard(I);
-      for (uint32_t I = 0; I != NumShards; ++I)
-        mergeShard(I);
-    }
+    for (uint32_t I = 0; I != NumShards; ++I)
+      phaseShard(I);
+    for (uint32_t I = 0; I != NumShards; ++I)
+      mergeShard(I);
 
-    // Barrier: apply staged reactions and catch dispatches sequentially in
-    // canonical shard order. These intern nodes/values/contexts and grow
-    // the call graph (`wireCall`, `processBody`), which is exactly the
-    // state the phase freezes — so all of it happens here, single-threaded,
-    // in an order no scheduler can perturb.
+    // Barrier: apply staged reactions and catch dispatches in canonical
+    // shard order. These intern nodes/values/contexts and grow the call
+    // graph (`wireCall`, `processBody`), which is exactly the state the
+    // phase freezes.
     for (Shard &S : Shards) {
-      S.TotalItems += S.PhaseItems;
       for (const StagedReaction &SR : S.StagedReactions) {
         ++SolverStats.ReactionsRun;
         applyReaction(SR.R, SR.V);
@@ -455,8 +409,6 @@ void Solver::solve() {
 void Solver::publishMetrics() {
   if (!Registry)
     return;
-  // Thread-count-invariant samples: rounds, total work, and the per-shard
-  // distribution (64 observations, one per shard, in shard order).
   Registry->add("pointsto.rounds", static_cast<double>(SolverStats.Rounds));
   Registry->add("pointsto.work_items",
                 static_cast<double>(SolverStats.WorkItems));
@@ -464,17 +416,6 @@ void Solver::publishMetrics() {
                 static_cast<double>(SolverStats.EdgesAdded));
   Registry->add("pointsto.reactions_run",
                 static_cast<double>(SolverStats.ReactionsRun));
-  for (const Shard &S : Shards)
-    Registry->observe("pointsto.shard.work_items",
-                      static_cast<double>(S.TotalItems));
-  // Scheduling-dependent samples (vary with Threads and the OS scheduler;
-  // cross-thread-count diffs must filter these).
-  Registry->set("pointsto.sched.threads", Config.Threads);
-  Registry->add("pointsto.sched.parallel_rounds",
-                static_cast<double>(ParallelRounds));
-  for (const Shard &S : Shards)
-    Registry->observe("pointsto.shard.steals",
-                      static_cast<double>(S.Steals));
 }
 
 //===----------------------------------------------------------------------===//

@@ -29,15 +29,14 @@
 /// precision (Section 4 of the paper): the receiver is an internal TreeNode
 /// allocation, so the context no longer distinguishes the map's clients.
 ///
-/// The worklist drain is *sharded and bulk-synchronous* (DESIGN.md §11):
-/// work items are bucketed into a fixed number of node shards, and each
-/// round runs a read-only parallel propagation phase over source shards, a
-/// parallel-but-deterministic per-target-shard merge, and a sequential
+/// The worklist drain runs in *staged rounds* (DESIGN.md §11): work items
+/// are bucketed into a fixed number of node shards, and each round runs a
+/// propagation phase over every source shard against the frozen state, a
+/// per-target-shard merge in canonical source-shard-major order, and a
 /// barrier that applies reaction firings (call wiring, catch dispatch,
-/// body processing) in canonical shard order. The shard count is a
-/// constant, independent of `SolverConfig::Threads`, so the fixpoint —
-/// points-to sets, call graph, stats, and provenance — is bit-identical at
-/// every thread count, including 1.
+/// body processing) in canonical shard order. The staging fixes the
+/// propagation order — points-to set insertion orders, call-graph edge
+/// order, `Stats` — and so every output that depends on it.
 ///
 /// Plugins (`Plugin::onFixpoint`) run each time the worklist drains and may
 /// inject new facts (entry points, bean injections, getBean seeds); solving
@@ -57,14 +56,11 @@
 #include "support/DenseSet.h"
 
 #include <array>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 namespace jackee {
-
-class WorkerPool;
 
 namespace observe {
 class MetricsRegistry;
@@ -85,12 +81,6 @@ struct SolverConfig {
   uint32_t ContextDepth = 0;
   /// H: heap-context depth.
   uint32_t HeapDepth = 0;
-  /// Worker threads for the sharded worklist drain. 0 resolves the
-  /// `JACKEE_SOLVER_THREADS` environment variable, falling back to
-  /// `hardware_concurrency`; 1 runs every round inline on the calling
-  /// thread. Results are bit-identical at any setting (clamped to
-  /// [1, 256] by the constructor).
-  unsigned Threads = 0;
 };
 
 class Solver;
@@ -111,10 +101,8 @@ public:
   Solver(const ir::Program &P, SolverConfig Config);
   Solver(const Solver &) = delete;
   Solver &operator=(const Solver &) = delete;
-  ~Solver();
 
   const ir::Program &program() const { return P; }
-  /// The configuration with `Threads` resolved (env var / hardware).
   const SolverConfig &config() const { return Config; }
   ContextTable &contexts() { return Ctxs; }
 
@@ -124,16 +112,14 @@ public:
   /// Attaches \p T as the span tracer (nullptr detaches). `solve()` emits
   /// one structural `solver`-category "fixpoint" span per
   /// drain-worklist/plugin iteration, whose args (round index, work-item
-  /// counts) are deterministic for a given analysis input — at any
-  /// `Threads` setting.
+  /// counts) are deterministic for a given analysis input.
   void setTracer(observe::Tracer *T) { Trace = T; }
   observe::Tracer *tracer() const { return Trace; }
 
   /// Attaches \p R to receive solver metrics (nullptr detaches). `solve()`
-  /// publishes `pointsto.rounds`, `pointsto.work_items`, and the per-shard
-  /// `pointsto.shard.work_items` histogram (all thread-count-invariant),
-  /// plus scheduling-dependent `pointsto.shard.steals` /
-  /// `pointsto.sched.*` samples.
+  /// publishes `pointsto.rounds`, `pointsto.work_items`,
+  /// `pointsto.edges_added` and `pointsto.reactions_run`, all
+  /// deterministic.
   void setMetricsRegistry(observe::MetricsRegistry *R) { Registry = R; }
 
   // --- Seeding (used by drivers and the framework layer) -----------------
@@ -241,8 +227,8 @@ public:
   /// item on compact points-to sets) would reclaim. One `PackageShare` row
   /// per entry of \p PackagePrefixes (`varPointsToTuples` on each — where
   /// the paper's `java.util` elephants light up). Run at fixpoint; every
-  /// field is deterministic at any `Threads` setting, because set
-  /// *contents* are (DESIGN.md §11) and the walk sorts before keying.
+  /// field is deterministic, and the walk sorts each set before keying, so
+  /// equal contents count as one set whatever their insertion order.
   observe::ProfileCensus
   censusPointsTo(const std::vector<std::string> &PackagePrefixes) const;
 
@@ -251,8 +237,7 @@ public:
     uint64_t EdgesAdded = 0;
     uint64_t ReactionsRun = 0;
     uint32_t PluginRounds = 0;
-    /// Bulk-synchronous drain rounds across all fixpoints. Thread-count
-    /// invariant (the shard count is fixed, not derived from `Threads`).
+    /// Staged drain rounds across all fixpoints.
     uint64_t Rounds = 0;
   };
   const Stats &stats() const { return SolverStats; }
@@ -297,11 +282,10 @@ private:
     CMethodId CallerCM; ///< for call wiring (exception edges)
   };
 
-  // --- Sharded worklist (DESIGN.md §11) -----------------------------------
+  // --- Staged worklist (DESIGN.md §11) ------------------------------------
 
-  /// Shard count. A constant (not `Threads`-derived): the canonical
-  /// source-shard-major application order at the barrier must not depend on
-  /// the worker count, or the fixpoint trajectory would.
+  /// Shard count. The canonical source-shard-major merge and barrier order
+  /// is defined over it, so changing it changes the propagation order.
   static constexpr uint32_t NumShards = 64;
   static constexpr uint32_t ShardMask = NumShards - 1;
   static uint32_t shardOf(NodeId N) { return N.index() & ShardMask; }
@@ -319,11 +303,10 @@ private:
     ValueId V;
   };
 
-  /// Per-shard drain state. During the parallel phase a worker touches only
-  /// the staging vectors of the source shard it was handed; during the
-  /// merge only the `Pending` queue and points-to entries of its target
-  /// shard. All cross-shard traffic goes through `StagedProps`, bucketed by
-  /// target shard.
+  /// Per-shard drain state. The phase writes only the staging vectors of
+  /// its source shard; the merge only the `Pending` queue and points-to
+  /// entries of its target shard. All cross-shard traffic goes through
+  /// `StagedProps`, bucketed by target shard.
   struct Shard {
     std::vector<WorkItem> Current; ///< items admitted to this round
     std::vector<WorkItem> Pending; ///< items discovered, next round's input
@@ -331,9 +314,6 @@ private:
     std::array<std::vector<WorkItem>, NumShards> StagedProps;
     std::vector<StagedReaction> StagedReactions;
     std::vector<StagedCatch> StagedCatches;
-    uint64_t PhaseItems = 0; ///< items this round (scratch)
-    uint64_t TotalItems = 0; ///< lifetime work items (deterministic)
-    uint64_t Steals = 0;     ///< phase tasks run off their home worker
   };
 
   NodeId internNode(NodeKind Kind, uint32_t A, uint32_t B);
@@ -353,11 +333,10 @@ private:
   void dispatchCatch(CMethodId CM, ValueId V);
 
   /// Round step 1: read-only propagation over one source shard's admitted
-  /// items, staging successor work. Safe to run concurrently across shards.
+  /// items, staging successor work.
   void phaseShard(uint32_t ShardIndex);
   /// Round step 2: merges staged propagations into one target shard's
-  /// points-to sets in canonical source-shard-major order. Shards own
-  /// disjoint state, so concurrent merges stay deterministic.
+  /// points-to sets in canonical source-shard-major order.
   void mergeShard(uint32_t ShardIndex);
   void drainWorklist();
   bool hasPendingWork() const;
@@ -419,9 +398,6 @@ private:
   std::unordered_map<const ir::Statement *, uint32_t> CastIndex;
 
   std::vector<Shard> Shards;
-  /// Created lazily on the first round big enough to parallelize.
-  std::unique_ptr<WorkerPool> Pool;
-  uint64_t ParallelRounds = 0; ///< scheduling-dependent (threshold + pool)
 
   std::vector<Plugin *> Plugins;
   Stats SolverStats;

@@ -531,14 +531,23 @@ bool validateProgramRefs(const DecodedProgram &P, size_t SymbolCount) {
     return true;
   };
 
-  for (const ir::Type &T : P.Types) {
-    if (!T.Name.isValid() || T.Name.index() >= SymbolCount)
+  for (size_t I = 0; I != NT; ++I) {
+    const ir::Type &T = P.Types[I];
+    if (!T.Name.isValid() || T.Name.index() >= SymbolCount ||
+        T.Kind > ir::TypeKind::Primitive)
       return false;
-    if (!okId(T.Superclass, NT) || !okId(T.ElementType, NT))
+    // Supertypes precede their subtypes: `Program::finalize` builds the
+    // ancestor sets in one forward pass over the type table. An array type
+    // needs its element type for the covariance pass.
+    auto superOk = [&](ir::TypeId X) { return X.isValid() && X.index() < I; };
+    if ((T.Superclass.isValid() && !superOk(T.Superclass)) ||
+        !allOk(T.Interfaces, superOk))
       return false;
-    auto tyOk = [&](ir::TypeId X) { return X.isValid() && X.index() < NT; };
+    if (!okId(T.ElementType, NT) ||
+        (T.Kind == ir::TypeKind::Array && !T.ElementType.isValid()))
+      return false;
     auto symOk = [&](Symbol S) { return okId(S, SymbolCount); };
-    if (!allOk(T.Interfaces, tyOk) || !allOk(T.Annotations, symOk))
+    if (!allOk(T.Annotations, symOk))
       return false;
     if (!allOk(T.Fields,
                [&](ir::FieldId F) { return F.isValid() && F.index() < NF; }))
@@ -585,7 +594,7 @@ bool validateProgramRefs(const DecodedProgram &P, size_t SymbolCount) {
       return false;
   for (const ir::AllocSite &S : P.Sites)
     if (!okId(S.ObjectType, NT) || !okId(S.InMethod, NM) ||
-        !okId(S.Label, SymbolCount))
+        !okId(S.Label, SymbolCount) || S.Kind > ir::AllocKind::Generated)
       return false;
   for (const ir::InvokeSite &S : P.Invokes)
     if (!okId(S.Caller, NM))

@@ -10,10 +10,10 @@
 ///
 ///   explicit option (> 0 / non-Auto)  >  environment variable  >  default
 ///
-/// where the default for worker counts is `hardware_concurrency` clamped
-/// to [1, 256]. Variables and their consumers:
+/// where the default for the one worker count, `JACKEE_JOBS`, is
+/// `hardware_concurrency` clamped to [1, 256]. Variables and their
+/// consumers:
 ///
-///   JACKEE_SOLVER_THREADS  points-to solver workers    (pointsto::Solver)
 ///   JACKEE_JOBS            analysis-cell matrix workers (core::AnalysisSession)
 ///   JACKEE_PLAN            join-plan mode               (datalog::resolvePlanMode)
 ///   JACKEE_PROVENANCE      derivation recording on/off  (core::AnalysisSession)

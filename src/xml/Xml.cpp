@@ -119,10 +119,13 @@ public:
   explicit ParserImpl(std::string_view Text) : Scan(Text) {}
 
   ParseResult run() {
-    skipMisc();
+    if (!skipMisc())
+      return {std::nullopt, Error, ErrorOffset};
     if (Scan.atEnd())
       return fail("document has no root element");
-    if (!parseElement(NoParent))
+    if (Scan.peek() != '<')
+      return fail("expected '<' to open the root element");
+    if (!parseElement(NoParent, 1))
       return {std::nullopt, Error, ErrorOffset};
     skipMisc();
     if (!Scan.atEnd())
@@ -190,9 +193,13 @@ private:
   }
 
   /// Parses one element (recursively including children). \p Parent is the
-  /// node id of the enclosing element or \c NoParent for the root.
-  bool parseElement(uint32_t Parent) {
+  /// node id of the enclosing element or \c NoParent for the root;
+  /// \p Depth is the element's nesting level, 1 for the root.
+  bool parseElement(uint32_t Parent, uint32_t Depth) {
     assert(Scan.peek() == '<' && "caller positions us at '<'");
+    if (Depth > Parser::MaxDepth)
+      return setError("elements nest deeper than " +
+                      std::to_string(Parser::MaxDepth) + " levels");
     Scan.advance();
 
     uint32_t MyId = Doc.appendElement();
@@ -251,7 +258,7 @@ private:
         return true;
       }
       if (Scan.peek() == '<') {
-        if (!parseElement(MyId))
+        if (!parseElement(MyId, Depth + 1))
           return false;
         continue;
       }

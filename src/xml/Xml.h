@@ -89,6 +89,11 @@ struct ParseResult {
 /// Recursive-descent XML parser. Stateless; use via \c parse.
 class Parser {
 public:
+  /// Deepest element nesting accepted (the root is level 1). Framework
+  /// configs nest a handful of levels; the bound keeps the recursive
+  /// descent's stack use fixed whatever the input.
+  static constexpr uint32_t MaxDepth = 256;
+
   /// Parses \p Text into a document. On malformed input, returns a result
   /// whose \c Error describes the first problem and \c ErrorOffset locates it.
   static ParseResult parse(std::string_view Text);

@@ -234,6 +234,60 @@ TEST_F(ParserTest, ErrorHasLineNumber) {
   EXPECT_NE(R.Error.find("line 4"), std::string::npos) << R.Error;
 }
 
+TEST_F(ParserTest, GroupNestingUpToTheBoundParses) {
+  ParserResult R = parse(".decl a(x: symbol)\n.decl b(x: symbol)\na(x) :- " +
+                         std::string(MaxGroupDepth, '(') + "b(x)" +
+                         std::string(MaxGroupDepth, ')') + ".");
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.RulesAdded, 1u);
+}
+
+TEST_F(ParserTest, ErrorGroupNestingPastTheBound) {
+  ParserResult R = parse(".decl a(x: symbol)\n.decl b(x: symbol)\na(x) :- " +
+                         std::string(MaxGroupDepth + 1, '(') + "b(x)" +
+                         std::string(MaxGroupDepth + 1, ')') + ".");
+  ASSERT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("deeper than " + std::to_string(MaxGroupDepth)),
+            std::string::npos)
+      << R.Error;
+}
+
+TEST_F(ParserTest, FlatBodyOfManyAtoms) {
+  // Desugaring walks a flat body in a loop: 100,000 atoms must not grow the
+  // stack with the body length.
+  constexpr size_t Atoms = 100000;
+  std::string Text = ".decl a(x: symbol)\n.decl b(x: symbol)\na(x) :- b(x)";
+  for (size_t I = 1; I != Atoms; ++I)
+    Text += ", b(x)";
+  Text += ".";
+  ParserResult R = parse(Text);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  ASSERT_EQ(Rules.size(), 1u);
+  EXPECT_EQ(Rules.rules()[0].Body.size(), Atoms);
+}
+
+TEST_F(ParserTest, ErrorDisjunctionProductPastTheBound) {
+  // Each two-way group doubles the desugared bodies: 12 groups expand to
+  // exactly the bound, 13 to twice it.
+  auto Rule = [](int Groups) {
+    std::string Text = "a(x) :- b(x)";
+    for (int I = 0; I != Groups; ++I)
+      Text += ", (b(x) ; c(x))";
+    return Text + ".\n";
+  };
+  static_assert(MaxBodyAlternatives == size_t(1) << 12);
+  ParserResult R =
+      parse(".decl a(x: symbol)\n.decl b(x: symbol)\n.decl c(x: symbol)\n" +
+            Rule(12));
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.RulesAdded, MaxBodyAlternatives);
+  R = parse(Rule(13));
+  ASSERT_FALSE(R.Ok);
+  EXPECT_NE(R.Error.find("more than " + std::to_string(MaxBodyAlternatives)),
+            std::string::npos)
+      << R.Error;
+}
+
 TEST_F(ParserTest, AnnotationStyleIdentifiersAsConstants) {
   // Annotation names with dots and @ appear as quoted constants in rules —
   // exactly how the paper writes Spring models.

@@ -49,6 +49,20 @@ TEST_F(DatalogTest, RelationInsertAndDedup) {
   EXPECT_FALSE(DB.containsFact("edge", {"a", "c"}));
 }
 
+TEST_F(DatalogTest, BulkLoadDropsRepeatedTuples) {
+  // Captured base facts are distinct, but a corrupt snapshot image can
+  // repeat a tuple; the relation keeps the first copy, as insert would.
+  RelationId R = DB.declare("edge", 2);
+  const Symbol Flat[] = {sym("a"), sym("b"), sym("b"), sym("a"),
+                         sym("a"), sym("b")};
+  DB.relation(R).bulkLoad(Flat);
+  EXPECT_EQ(DB.relation(R).size(), 2u);
+  EXPECT_TRUE(DB.containsFact("edge", {"a", "b"}));
+  EXPECT_TRUE(DB.containsFact("edge", {"b", "a"}));
+  EXPECT_TRUE(DB.insertFact("edge", {"c", "d"}));
+  EXPECT_EQ(DB.relation(R).size(), 3u);
+}
+
 TEST_F(DatalogTest, DeclareIsIdempotent) {
   RelationId A = DB.declare("r", 2);
   RelationId B = DB.declare("r", 2);

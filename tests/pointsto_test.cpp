@@ -615,65 +615,4 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 3, 6),
                        ::testing::Values(0, 1, 2)));
 
-/// The sharded drain's determinism contract at the unit level: the same
-/// program solved at several worker counts yields identical points-to
-/// sets, call-graph edge sequences, and (thread-invariant) stats. The
-/// heavier session/provenance sweeps live in pointsto_parallel_test.cpp.
-TEST(ThreadSweep, FixpointIsBitIdenticalAcrossWorkerCounts) {
-  SymbolTable Symbols;
-  Program P(Symbols);
-  TypeId Object =
-      P.addClass("java.lang.Object", TypeKind::Class, TypeId::invalid());
-  P.addClass("java.lang.String", TypeKind::Class, Object);
-  TypeId Box = P.addClass("Box", TypeKind::Class, Object);
-  TypeId Pay = P.addClass("Pay", TypeKind::Class, Object);
-  FieldId F = P.addField(Box, "f", Object);
-
-  MethodBuilder SetM = P.addMethod(Box, "set", {Object}, TypeId::invalid());
-  SetM.store(SetM.thisVar(), F, SetM.param(0));
-  MethodBuilder GetM = P.addMethod(Box, "get", {}, Object);
-  VarId GT = GetM.local("t", Object);
-  GetM.load(GT, GetM.thisVar(), F).ret(GT);
-
-  MethodBuilder Main = P.addMethod(Box, "main", {}, TypeId::invalid(), true);
-  for (int I = 0; I != 24; ++I) {
-    VarId B = Main.local("b" + std::to_string(I), Box);
-    VarId Pv = Main.local("p" + std::to_string(I), Pay);
-    VarId O = Main.local("o" + std::to_string(I), Object);
-    Main.alloc(B, Box)
-        .alloc(Pv, Pay)
-        .virtualCall(VarId::invalid(), B, "set", {Object}, {Pv})
-        .virtualCall(O, B, "get", {}, {});
-  }
-  P.finalize();
-
-  auto solveAt = [&](unsigned Threads) {
-    auto S = std::make_unique<Solver>(P, SolverConfig{2, 1, Threads});
-    S->makeReachable(Main.id(), S->contexts().empty());
-    S->solve();
-    return S;
-  };
-
-  std::unique_ptr<Solver> Base = solveAt(1);
-  EXPECT_EQ(Base->config().Threads, 1u);
-  for (unsigned Threads : {2u, 5u, 8u}) {
-    SCOPED_TRACE("Threads=" + std::to_string(Threads));
-    std::unique_ptr<Solver> S = solveAt(Threads);
-    EXPECT_EQ(S->config().Threads, Threads);
-    for (uint32_t VI = 0; VI != P.variableCount(); ++VI)
-      EXPECT_EQ(S->varPointsToSites(VarId(VI)),
-                Base->varPointsToSites(VarId(VI)));
-    EXPECT_EQ(std::vector<uint64_t>(S->callGraphEdges().begin(),
-                                    S->callGraphEdges().end()),
-              std::vector<uint64_t>(Base->callGraphEdges().begin(),
-                                    Base->callGraphEdges().end()));
-    EXPECT_EQ(S->reachableMethods(), Base->reachableMethods());
-    EXPECT_EQ(S->stats().WorkItems, Base->stats().WorkItems);
-    EXPECT_EQ(S->stats().EdgesAdded, Base->stats().EdgesAdded);
-    EXPECT_EQ(S->stats().ReactionsRun, Base->stats().ReactionsRun);
-    EXPECT_EQ(S->stats().Rounds, Base->stats().Rounds);
-    EXPECT_EQ(S->varPointsToTuplesTotal(), Base->varPointsToTuplesTotal());
-  }
-}
-
 } // namespace

@@ -12,7 +12,9 @@
 
 #include "core/Report.h"
 #include "core/Session.h"
+#include "datalog/Parser.h"
 #include "synth/SynthApp.h"
+#include "xml/Xml.h"
 
 #include "gtest/gtest.h"
 
@@ -20,6 +22,7 @@
 #include <map>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -184,6 +187,41 @@ TEST(AnalysisErrorTest, RuleParse) {
   EXPECT_EQ(R.error().Kind, AnalysisErrorKind::RuleParse);
 }
 
+TEST(AnalysisErrorTest, ConfigNestedPastTheBound) {
+  // A million nested elements: the parser must stop at its nesting bound
+  // instead of recursing once per level.
+  constexpr size_t Depth = 1000000;
+  std::string Xml;
+  Xml.reserve(Depth * 7);
+  for (size_t I = 0; I != Depth; ++I)
+    Xml += "<a>";
+  for (size_t I = 0; I != Depth; ++I)
+    Xml += "</a>";
+  AnalysisResult R =
+      runAnalysis(emptyApp("deepconfig", {{"deep.xml", Xml}}),
+                  AnalysisKind::CI);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().Kind, AnalysisErrorKind::ConfigParse);
+  EXPECT_NE(R.error().Message.find(std::to_string(xml::Parser::MaxDepth)),
+            std::string::npos)
+      << R.error().Message;
+}
+
+TEST(AnalysisErrorTest, RulesNestedPastTheBound) {
+  constexpr size_t Depth = 1000000;
+  Application App = emptyApp("deeprules");
+  App.ExtraRules = {{"deep.dl", ".decl Deep(c: symbol)\nDeep(c) :- " +
+                                    std::string(Depth, '(') +
+                                    "ConcreteApplicationClass(c)" +
+                                    std::string(Depth, ')') + "."}};
+  AnalysisResult R = runAnalysis(App, AnalysisKind::CI);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error().Kind, AnalysisErrorKind::RuleParse);
+  EXPECT_NE(R.error().Message.find(std::to_string(datalog::MaxGroupDepth)),
+            std::string::npos)
+      << R.error().Message;
+}
+
 TEST(AnalysisErrorTest, Stratification) {
   // A relation negated inside its own recursive component cannot be
   // stratified.
@@ -252,6 +290,27 @@ TEST(MatrixTest, ErrorCellsDoNotPoisonTheMatrix) {
   EXPECT_TRUE(Results[0].ok());
   ASSERT_FALSE(Results[1].ok());
   EXPECT_EQ(Results[1].error().Kind, AnalysisErrorKind::ConfigParse);
+}
+
+TEST(MatrixTest, WorkerExceptionReachesTheCaller) {
+  // A throwing Populate callback on a matrix worker thread must surface on
+  // the calling thread, as it does when the matrix runs inline.
+  Application Throws = emptyApp("throws");
+  Throws.Populate = [](ir::Program &, const javalib::JavaLib &,
+                       const frameworks::FrameworkLib &)
+      -> std::vector<std::pair<std::string, std::string>> {
+    throw std::runtime_error("populate failed");
+  };
+  std::vector<Application> Apps = {
+      synth::applicationFor(synth::BenchApp::WebGoat), Throws};
+  for (unsigned Jobs : {1u, 2u}) {
+    SessionOptions SO;
+    SO.Jobs = Jobs;
+    AnalysisSession Session(SO);
+    EXPECT_THROW(Session.runMatrix(Apps, {AnalysisKind::CI}),
+                 std::runtime_error)
+        << "jobs=" << Jobs;
+  }
 }
 
 TEST(MetricsJsonTest, ContainsEveryField) {

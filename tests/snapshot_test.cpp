@@ -4,11 +4,11 @@
 //
 // Covers the mmap-able base-program store (src/snapshot/): serialization
 // round trips byte-identically, a session cold-started from the store is
-// bit-identical (digest and explain trees) to one that ran the builders at
-// any solver thread count, and every rejection path — truncation, bad
+// bit-identical (digest and explain trees) to one that ran the builders,
+// and every rejection path — truncation, bad
 // magic, stale format version, payload corruption, a well-digested image
-// with a malformed statement or catch clause — falls back to the builders
-// cleanly instead of crashing or silently diverging.
+// with a malformed statement, catch clause or type-table entry — falls back
+// to the builders cleanly instead of crashing or silently diverging.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +50,7 @@ private:
   std::string Path;
 };
 
-/// Scoped environment override (same idiom as incremental_test.cpp).
+/// Scoped environment override.
 class EnvGuard {
 public:
   EnvGuard(const char *Name, const std::string &Value) : Name(Name) {
@@ -211,8 +211,9 @@ TEST(SnapshotStoreTest, RejectionPathsFallBackCleanly) {
 
   // A corruption either damages the image's bytes, or changes its base
   // program and re-encodes it with a valid digest. The program defects
-  // leave every id in range, so only the per-opcode operand check (or the
-  // opcode range check) can reject them.
+  // leave every id in range, so only the per-opcode operand check, the
+  // opcode and type-kind range checks, or the supertype-order and
+  // array-element checks can reject them.
   using ir::Opcode;
   struct Corruption {
     const char *Name;
@@ -286,6 +287,28 @@ TEST(SnapshotStoreTest, RejectionPathsFallBackCleanly) {
        [](ir::Program &P) {
          firstBody(P).Catches.push_back({ir::TypeId(0), ir::VarId::invalid()});
        }},
+      {"superclass declared after its subtype", nullptr,
+       [](ir::Program &P) {
+         P.type(ir::TypeId(1)).Superclass = ir::TypeId(P.typeCount() - 1);
+       }},
+      {"interface declared after its subtype", nullptr,
+       [](ir::Program &P) {
+         P.type(ir::TypeId(0)).Interfaces.push_back(ir::TypeId(1));
+       }},
+      {"array type without element type", nullptr,
+       [](ir::Program &P) {
+         for (uint32_t T = 0; T != P.typeCount(); ++T)
+           if (P.type(ir::TypeId(T)).Kind == ir::TypeKind::Array) {
+             P.type(ir::TypeId(T)).ElementType = ir::TypeId::invalid();
+             return;
+           }
+         ADD_FAILURE() << "no array type";
+       }},
+      {"type kind past Primitive", nullptr,
+       [](ir::Program &P) {
+         P.type(ir::TypeId(0)).Kind = static_cast<ir::TypeKind>(
+             static_cast<uint8_t>(ir::TypeKind::Primitive) + 1);
+       }},
   };
   for (const Corruption &C : Cases) {
     SCOPED_TRACE(C.Name);
@@ -327,7 +350,7 @@ TEST(SnapshotStoreTest, RejectionPathsFallBackCleanly) {
   }
 }
 
-TEST(SnapshotStoreTest, LoadVsBuildDigestEqualityAcrossThreads) {
+TEST(SnapshotStoreTest, LoadVsBuildDigestEquality) {
   TempDir Dir;
   snapshot::BaseProgram B =
       snapshot::buildBase(javalib::CollectionModel::SoundModulo);
@@ -335,31 +358,25 @@ TEST(SnapshotStoreTest, LoadVsBuildDigestEqualityAcrossThreads) {
                                 javalib::CollectionModel::SoundModulo),
             "");
 
-  for (unsigned Threads : {1u, 2u, 8u}) {
-    SessionOptions BuildOptions;
-    BuildOptions.SolverThreads = Threads;
-    SessionOptions LoadOptions = BuildOptions;
-    LoadOptions.SnapshotDir = Dir.path();
+  SessionOptions LoadOptions;
+  LoadOptions.SnapshotDir = Dir.path();
 
-    AnalysisSession Builder(BuildOptions);
-    CellResult Built = Builder.open(petstoreApp(), AnalysisKind::Mod2ObjH);
-    ASSERT_TRUE(bool(Built)) << Built.error().Message;
+  AnalysisSession Builder{SessionOptions{}};
+  CellResult Built = Builder.open(petstoreApp(), AnalysisKind::Mod2ObjH);
+  ASSERT_TRUE(bool(Built)) << Built.error().Message;
 
-    AnalysisSession Mapped(LoadOptions);
-    CellResult LoadedCell = Mapped.open(petstoreApp(), AnalysisKind::Mod2ObjH);
-    ASSERT_TRUE(bool(LoadedCell)) << LoadedCell.error().Message;
+  AnalysisSession Mapped(LoadOptions);
+  CellResult LoadedCell = Mapped.open(petstoreApp(), AnalysisKind::Mod2ObjH);
+  ASSERT_TRUE(bool(LoadedCell)) << LoadedCell.error().Message;
 
-    AnalysisSession::CacheStats CS = Mapped.cacheStats();
-    EXPECT_EQ(CS.SnapshotLoads, 1u) << "threads=" << Threads;
-    EXPECT_EQ(CS.SnapshotBuilds, 0u) << "threads=" << Threads;
-    EXPECT_GT(CS.StoreBytes, 0u);
+  AnalysisSession::CacheStats CS = Mapped.cacheStats();
+  EXPECT_EQ(CS.SnapshotLoads, 1u);
+  EXPECT_EQ(CS.SnapshotBuilds, 0u);
+  EXPECT_GT(CS.StoreBytes, 0u);
 
-    EXPECT_EQ(Built->canonicalDigest(), LoadedCell->canonicalDigest())
-        << "threads=" << Threads;
-    EXPECT_EQ(explainAll(*Built), explainAll(*LoadedCell))
-        << "threads=" << Threads;
-    expectSameSemantics(Built->metrics(), LoadedCell->metrics());
-  }
+  EXPECT_EQ(Built->canonicalDigest(), LoadedCell->canonicalDigest());
+  EXPECT_EQ(explainAll(*Built), explainAll(*LoadedCell));
+  expectSameSemantics(Built->metrics(), LoadedCell->metrics());
 }
 
 TEST(SnapshotStoreTest, EnvVarResolvesStoreDir) {

@@ -131,10 +131,41 @@ TEST(XmlTest, ErrorEmptyDocument) {
   EXPECT_NE(R.Error.find("no root"), std::string::npos) << R.Error;
 }
 
+TEST(XmlTest, ErrorTextBeforeRoot) {
+  ParseResult R = Parser::parse("beans<bean/>");
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("expected '<'"), std::string::npos) << R.Error;
+  EXPECT_EQ(R.ErrorOffset, 0u);
+}
+
 TEST(XmlTest, ErrorTrailingContent) {
   ParseResult R = Parser::parse("<a/><b/>");
   ASSERT_FALSE(R.ok());
   EXPECT_NE(R.Error.find("after the root"), std::string::npos) << R.Error;
+}
+
+/// `Depth` nested `<a>` elements.
+std::string nested(uint32_t Depth) {
+  std::string Text;
+  for (uint32_t I = 0; I != Depth; ++I)
+    Text += "<a>";
+  for (uint32_t I = 0; I != Depth; ++I)
+    Text += "</a>";
+  return Text;
+}
+
+TEST(XmlTest, NestingUpToTheBoundParses) {
+  ParseResult R = Parser::parse(nested(Parser::MaxDepth));
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(R.Doc->size(), Parser::MaxDepth);
+}
+
+TEST(XmlTest, ErrorNestingPastTheBound) {
+  ParseResult R = Parser::parse(nested(Parser::MaxDepth + 1));
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("deeper than " + std::to_string(Parser::MaxDepth)),
+            std::string::npos)
+      << R.Error;
 }
 
 TEST(XmlTest, SpringSecuritySnippetFromPaper) {
