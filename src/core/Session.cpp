@@ -271,6 +271,15 @@ AnalysisCell::buildProfile(const Metrics &M) {
 
 std::vector<provenance::DerivationNode>
 AnalysisCell::explain(std::string_view Query, std::string &Error) const {
+  // A base relation outside the demand set was never extracted; "no tuple
+  // matches" would wrongly say the program has no such facts.
+  std::string_view Rel = provenance::Explainer::queryRelation(Query);
+  if (std::optional<size_t> Base = facts::findBaseRelation(Rel);
+      Base && !FM->facts().demand()[*Base]) {
+    Error = "'" + std::string(Rel) +
+            "' is not extracted in this cell: no rule reads it";
+    return {};
+  }
   provenance::Explainer E(*DB, FM->rules(), *Recorder);
   return E.explainQuery(Query, Error);
 }

@@ -224,8 +224,9 @@ public:
 
   size_t relationCount() const { return Relations.size(); }
 
-  /// Convenience for fact loading and tests: interns \p Texts and inserts
-  /// the tuple into \p Name (which must be declared).
+  /// Convenience for tests and examples: interns \p Texts and inserts the
+  /// tuple into \p Name (which must be declared). Hot paths resolve the
+  /// relation once and insert symbol tuples (see facts::Extractor).
   bool insertFact(std::string_view Name,
                   std::initializer_list<std::string_view> Texts);
 

@@ -28,11 +28,17 @@ BaseFactSet jackee::facts::captureBaseFacts(const datalog::Database &DB) {
 }
 
 std::string jackee::facts::bulkLoadBaseFacts(datalog::Database &DB,
-                                             const BaseFactSet &Facts) {
+                                             const BaseFactSet &Facts,
+                                             const Demand &Wanted) {
   for (const BaseFactSet::Rel &Rel : Facts.Relations) {
+    std::optional<size_t> Base = findBaseRelation(Rel.Name);
+    if (!Base)
+      return "unknown relation '" + Rel.Name + "'";
+    if (!Wanted[*Base])
+      continue;
     datalog::RelationId Id = DB.find(Rel.Name);
     if (!Id.isValid())
-      return "unknown relation '" + Rel.Name + "'";
+      return "undeclared relation '" + Rel.Name + "'";
     datalog::Relation &R = DB.relation(Id);
     if (R.arity() != Rel.Arity)
       return "arity mismatch for '" + Rel.Name + "' (" +
@@ -49,22 +55,11 @@ std::string jackee::facts::bulkLoadBaseFacts(datalog::Database &DB,
 
 std::string jackee::facts::validateBaseFacts(const BaseFactSet &Facts,
                                              size_t SymbolCount) {
-  // A schema-only database gives the authoritative relation-name and arity
-  // reference without touching the caller's state. It is immutable after
-  // declaration, so one process-wide instance serves every validation (the
-  // snapshot loader's cold-start path calls this per load).
-  struct SchemaRef {
-    SymbolTable Symbols;
-    datalog::Database DB{Symbols};
-    SchemaRef() { Extractor DeclareOnly(DB); }
-  };
-  static const SchemaRef Schema;
-
   for (const BaseFactSet::Rel &Rel : Facts.Relations) {
-    datalog::RelationId Id = Schema.DB.find(Rel.Name);
-    if (!Id.isValid())
+    std::optional<size_t> Base = findBaseRelation(Rel.Name);
+    if (!Base)
       return "unknown relation '" + Rel.Name + "'";
-    if (Schema.DB.relation(Id).arity() != Rel.Arity)
+    if (Schema[*Base].Arity != Rel.Arity)
       return "arity mismatch for '" + Rel.Name + "'";
     if (Rel.Arity == 0 || Rel.Tuples.size() % Rel.Arity != 0)
       return "ragged tuple data for '" + Rel.Name + "'";

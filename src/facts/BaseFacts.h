@@ -15,6 +15,10 @@
 /// base-program snapshot cache, and the payload the mmap-able snapshot
 /// store (src/snapshot/) serializes.
 ///
+/// A set always holds every base relation, whatever a cell demands: one
+/// image serves every rule set, `Application::ExtraRules` included, and a
+/// cell loads only the relations its rules read.
+///
 /// Order equivalence: base-then-delta extraction inserts every relation's
 /// tuples in the same order as one full extraction of the combined program,
 /// because `extractProgramDelta` walks entity tables in id order from the
@@ -66,16 +70,18 @@ struct BaseFactSet {
 /// extraction, before any rules run).
 BaseFactSet captureBaseFacts(const datalog::Database &DB);
 
-/// Bulk-appends \p Facts into \p DB's same-named relations, preserving
-/// tuple order. Every target relation must be declared, arity-matched and
-/// still empty (bulk-loading is the *first* fact source of a cell).
-/// \returns an empty string on success, else a diagnostic — the caller
-/// falls back to full extraction rather than analyzing half-loaded facts.
-std::string bulkLoadBaseFacts(datalog::Database &DB, const BaseFactSet &Facts);
+/// Bulk-appends the relations of \p Facts that \p Wanted names into
+/// \p DB's same-named relations, preserving tuple order; the others stay
+/// empty. Every loaded relation must be declared, arity-matched and still
+/// empty (bulk-loading is the *first* fact source of a cell). \returns an
+/// empty string on success, else a diagnostic — the caller reports it
+/// rather than analyzing half-loaded facts.
+std::string bulkLoadBaseFacts(datalog::Database &DB, const BaseFactSet &Facts,
+                              const Demand &Wanted);
 
-/// Structural validation against the extractor schema without touching any
-/// database: relation names and arities must match `declareSchema`, tuple
-/// data must not be ragged, and every symbol id must be below
+/// Structural validation against the extractor schema (`facts::Schema`)
+/// without touching any database: relation names and arities must match
+/// it, tuple data must not be ragged, and every symbol id must be below
 /// \p SymbolCount. \returns an empty string or the first problem found —
 /// the snapshot loader rejects a store (and falls back to builders) on any
 /// non-empty result.

@@ -13,49 +13,58 @@ using namespace jackee;
 using namespace jackee::facts;
 using namespace jackee::ir;
 
-void Extractor::declareSchema() {
-  // Type structure.
-  DB.declare("ClassType", 1);
-  DB.declare("InterfaceType", 1);
-  DB.declare("ApplicationClass", 1);
-  DB.declare("ConcreteApplicationClass", 1);
-  DB.declare("SubtypeOf", 2);
+std::optional<size_t> jackee::facts::findBaseRelation(std::string_view Name) {
+  for (size_t I = 0; I != Schema.size(); ++I)
+    if (Schema[I].Name == Name)
+      return I;
+  return std::nullopt;
+}
 
-  // Annotations (paper Figure 1 inputs).
-  DB.declare("Class_Annotation", 2);
-  DB.declare("Method_Annotation", 2);
-  DB.declare("Field_Annotation", 2);
+void jackee::facts::declareSchema(datalog::Database &DB) {
+  for (const RelationSchema &Rel : Schema)
+    DB.declare(Rel.Name, Rel.Arity);
+}
 
-  // Methods / fields / variables (paper Figure 2).
-  DB.declare("Method_DeclaringType", 2);
-  DB.declare("Method_SimpleName", 2);
-  DB.declare("Method_Descriptor", 2);
-  DB.declare("ConcreteMethod", 1);
-  DB.declare("StaticMethod", 1);
-  DB.declare("Field_DeclaringType", 2);
-  DB.declare("Field_Name", 2);
-  DB.declare("Field_Type", 2);
-  DB.declare("Var_Type", 2);
-  DB.declare("Var_DeclaringMethod", 2);
-  DB.declare("FormalParam", 3);   // (index, method, var)
+Extractor::Extractor(datalog::Database &DB, Demand Wanted)
+    : DB(DB), Symbols(DB.symbols()), Wanted(Wanted) {
+  for (size_t I = 0; I != Schema.size(); ++I)
+    Ids[I] = DB.declare(Schema[I].Name, Schema[I].Arity);
+}
 
-  // Invocation shape (for getBean-style programmatic patterns).
-  DB.declare("ActualParam", 3);   // (index, invocation, var)
-  DB.declare("AssignReturnValue", 2);
-  DB.declare("VirtualInvocation_SimpleName", 2);
-  DB.declare("VirtualInvocation_Base", 2);
-  DB.declare("Invocation_InMethod", 2);
+namespace {
 
-  // Casts inside methods, for the mock policy's cast-based discovery.
-  DB.declare("CastInMethod", 2);  // (method, targetType)
+/// Writes "<Tag>#<Index>" into \p Buf; \returns the text.
+std::string_view formatEntity(char (&Buf)[16], char Tag, uint32_t Index) {
+  Buf[0] = Tag;
+  Buf[1] = '#';
+  char *End = std::to_chars(Buf + 2, Buf + sizeof(Buf), Index).ptr;
+  return {Buf, size_t(End - Buf)};
+}
 
-  // Bean-id convention support (Datalog has no string functions).
-  DB.declare("Class_DefaultBeanId", 2);
+} // namespace
 
-  // XML configuration (paper Figure 1 inputs).
-  DB.declare("XMLNode", 5);       // (file, nodeId, parentId, ns, name)
-  DB.declare("XMLNodeAttr", 5);   // (file, nodeId, index, name, value)
-  DB.declare("XMLNodeText", 3);   // (file, nodeId, text)
+Symbol Extractor::entitySymbol(std::vector<Symbol> &Cache, char Tag,
+                               uint32_t Index) {
+  if (Index >= Cache.size())
+    Cache.resize(Index + 1);
+  Symbol &Sym = Cache[Index];
+  if (!Sym.isValid()) {
+    char Buf[16];
+    Sym = Symbols.intern(formatEntity(Buf, Tag, Index));
+  }
+  return Sym;
+}
+
+Symbol Extractor::numberSymbol(uint32_t Value) {
+  if (Value >= NumberSyms.size())
+    NumberSyms.resize(Value + 1);
+  Symbol &Sym = NumberSyms[Value];
+  if (!Sym.isValid()) {
+    char Buf[16];
+    Sym = Symbols.intern(
+        {Buf, size_t(std::to_chars(Buf, Buf + sizeof(Buf), Value).ptr - Buf)});
+  }
+  return Sym;
 }
 
 void Extractor::extractProgram(const Program &P) {
@@ -67,103 +76,131 @@ ProgramWatermark Extractor::watermarkOf(const Program &P) {
           P.variableCount()};
 }
 
+// Every fact's columns are interned left to right (braced lists evaluate
+// in order), each entity symbol on its first use. A full-demand run thus
+// interns exactly the symbols, in exactly the order, that base images
+// have always recorded.
 void Extractor::extractProgramDelta(const Program &P,
                                     const ProgramWatermark &From) {
-  const SymbolTable &Symbols = P.symbols();
-  auto typeName = [&](TypeId T) -> const std::string & {
-    return Symbols.text(P.type(T).Name);
+  auto methodSym = [&](MethodId M) {
+    return entitySymbol(MethodSyms, 'M', M.index());
   };
+  auto varSym = [&](VarId V) { return entitySymbol(VarSyms, 'V', V.index()); };
+  auto typeName = [&](TypeId T) { return P.type(T).Name; };
 
   for (uint32_t TI = From.Types; TI != P.typeCount(); ++TI) {
     TypeId T(TI);
     const Type &Ty = P.type(T);
     if (Ty.IsRetracted)
       continue;
-    const std::string &Name = typeName(T);
+    Symbol Name = Ty.Name;
 
-    switch (Ty.Kind) {
-    case TypeKind::Class:
-      fact("ClassType", {Name});
-      break;
-    case TypeKind::Interface:
-      fact("InterfaceType", {Name});
-      break;
-    case TypeKind::Array:
-    case TypeKind::Primitive:
-      break;
-    }
+    if (Ty.Kind == TypeKind::Class && wants(BaseRel::ClassType))
+      emit(BaseRel::ClassType, {Name});
+    else if (Ty.Kind == TypeKind::Interface && wants(BaseRel::InterfaceType))
+      emit(BaseRel::InterfaceType, {Name});
     if (Ty.IsApplication) {
-      fact("ApplicationClass", {Name});
+      if (wants(BaseRel::ApplicationClass))
+        emit(BaseRel::ApplicationClass, {Name});
       if (Ty.isConcreteClass()) {
-        fact("ConcreteApplicationClass", {Name});
-        fact("Class_DefaultBeanId", {Name, defaultBeanId(Name)});
+        if (wants(BaseRel::ConcreteApplicationClass))
+          emit(BaseRel::ConcreteApplicationClass, {Name});
+        if (wants(BaseRel::Class_DefaultBeanId))
+          emit(BaseRel::Class_DefaultBeanId,
+               {Name, Symbols.intern(defaultBeanId(Symbols.text(Name)))});
       }
     }
-    for (Symbol Annotation : Ty.Annotations)
-      fact("Class_Annotation", {Name, Symbols.text(Annotation)});
+    if (wants(BaseRel::Class_Annotation))
+      for (Symbol Annotation : Ty.Annotations)
+        emit(BaseRel::Class_Annotation, {Name, Annotation});
 
     // Subtype pairs from the finalized hierarchy (strict and reflexive).
     // Type declaration order is supertype-first, so every pair a delta
     // introduces has its *subtype* past the watermark — iterating new
-    // subtypes over all supertypes covers the delta.
-    for (uint32_t SI = 0; SI != P.typeCount(); ++SI)
-      if (!P.type(TypeId(SI)).IsRetracted && P.isSubtype(T, TypeId(SI)))
-        fact("SubtypeOf", {Name, typeName(TypeId(SI))});
+    // subtypes over all supertypes covers the delta. The ancestor bit is
+    // tested first: it reads one row, the retraction flag a whole record.
+    if (wants(BaseRel::SubtypeOf))
+      for (uint32_t SI = 0; SI != P.typeCount(); ++SI)
+        if (P.isSubtype(T, TypeId(SI)) && !P.type(TypeId(SI)).IsRetracted)
+          emit(BaseRel::SubtypeOf, {Name, typeName(TypeId(SI))});
   }
 
   for (uint32_t FI = From.Fields; FI != P.fieldCount(); ++FI) {
-    FieldId F(FI);
-    const Field &Fld = P.field(F);
+    const Field &Fld = P.field(FieldId(FI));
     if (P.type(Fld.DeclaringType).IsRetracted)
       continue;
-    std::string FSym = encodeField(F);
-    fact("Field_DeclaringType", {FSym, typeName(Fld.DeclaringType)});
-    fact("Field_Name", {FSym, Symbols.text(Fld.Name)});
-    fact("Field_Type", {FSym, typeName(Fld.ValueType)});
-    for (Symbol Annotation : Fld.Annotations)
-      fact("Field_Annotation", {FSym, Symbols.text(Annotation)});
+    auto fieldSym = [&] { return entitySymbol(FieldSyms, 'F', FI); };
+    if (wants(BaseRel::Field_DeclaringType))
+      emit(BaseRel::Field_DeclaringType,
+           {fieldSym(), typeName(Fld.DeclaringType)});
+    if (wants(BaseRel::Field_Name))
+      emit(BaseRel::Field_Name, {fieldSym(), Fld.Name});
+    if (wants(BaseRel::Field_Type))
+      emit(BaseRel::Field_Type, {fieldSym(), typeName(Fld.ValueType)});
+    if (wants(BaseRel::Field_Annotation))
+      for (Symbol Annotation : Fld.Annotations)
+        emit(BaseRel::Field_Annotation, {fieldSym(), Annotation});
   }
 
+  // Statements are the largest table; skip the walk when nothing reads it.
+  const bool WantsStatements =
+      wants(BaseRel::CastInMethod) || wants(BaseRel::Invocation_InMethod) ||
+      wants(BaseRel::AssignReturnValue) || wants(BaseRel::ActualParam) ||
+      wants(BaseRel::VirtualInvocation_SimpleName) ||
+      wants(BaseRel::VirtualInvocation_Base);
   for (uint32_t MI = From.Methods; MI != P.methodCount(); ++MI) {
     MethodId M(MI);
     const Method &Meth = P.method(M);
     if (Meth.IsRetracted)
       continue;
-    std::string MSym = encodeMethod(M);
-    fact("Method_DeclaringType", {MSym, typeName(Meth.DeclaringType)});
-    fact("Method_SimpleName", {MSym, Symbols.text(Meth.Name)});
-    fact("Method_Descriptor", {MSym, Symbols.text(Meth.SignatureKey)});
-    if (!Meth.IsAbstract)
-      fact("ConcreteMethod", {MSym});
-    if (Meth.IsStatic)
-      fact("StaticMethod", {MSym});
-    for (Symbol Annotation : Meth.Annotations)
-      fact("Method_Annotation", {MSym, Symbols.text(Annotation)});
-
-    for (uint32_t I = 0; I != Meth.Params.size(); ++I) {
-      VarId V = Meth.Params[I];
-      fact("FormalParam", {std::to_string(I), MSym, encodeVar(V)});
-    }
+    if (wants(BaseRel::Method_DeclaringType))
+      emit(BaseRel::Method_DeclaringType,
+           {methodSym(M), typeName(Meth.DeclaringType)});
+    if (wants(BaseRel::Method_SimpleName))
+      emit(BaseRel::Method_SimpleName, {methodSym(M), Meth.Name});
+    if (wants(BaseRel::Method_Descriptor))
+      emit(BaseRel::Method_Descriptor, {methodSym(M), Meth.SignatureKey});
+    if (!Meth.IsAbstract && wants(BaseRel::ConcreteMethod))
+      emit(BaseRel::ConcreteMethod, {methodSym(M)});
+    if (Meth.IsStatic && wants(BaseRel::StaticMethod))
+      emit(BaseRel::StaticMethod, {methodSym(M)});
+    if (wants(BaseRel::Method_Annotation))
+      for (Symbol Annotation : Meth.Annotations)
+        emit(BaseRel::Method_Annotation, {methodSym(M), Annotation});
+    if (wants(BaseRel::FormalParam))
+      for (uint32_t I = 0; I != Meth.Params.size(); ++I)
+        emit(BaseRel::FormalParam,
+             {numberSymbol(I), methodSym(M), varSym(Meth.Params[I])});
+    if (!WantsStatements)
+      continue;
 
     for (const Statement &S : Meth.Statements) {
-      if (S.Op == Opcode::Cast)
-        fact("CastInMethod", {MSym, typeName(S.TypeRef)});
+      if (S.Op == Opcode::Cast && wants(BaseRel::CastInMethod))
+        emit(BaseRel::CastInMethod, {methodSym(M), typeName(S.TypeRef)});
       if (S.Op != Opcode::VirtualCall && S.Op != Opcode::SpecialCall &&
           S.Op != Opcode::StaticCall)
         continue;
-      std::string ISym = encodeInvoke(S.Invoke);
-      fact("Invocation_InMethod", {ISym, MSym});
-      if (S.Dst.isValid())
-        fact("AssignReturnValue", {ISym, encodeVar(S.Dst)});
-      for (uint32_t I = 0; I != S.Args.size(); ++I)
-        if (S.Args[I].isValid())
-          fact("ActualParam", {std::to_string(I), ISym, encodeVar(S.Args[I])});
-      if (S.Op == Opcode::VirtualCall) {
-        const std::string &Sig = Symbols.text(S.CalleeSignature);
-        fact("VirtualInvocation_SimpleName",
-             {ISym, Sig.substr(0, Sig.find('('))});
-        fact("VirtualInvocation_Base", {ISym, encodeVar(S.Base)});
+      auto invokeSym = [&] {
+        return entitySymbol(InvokeSyms, 'I', S.Invoke.index());
+      };
+      if (wants(BaseRel::Invocation_InMethod))
+        emit(BaseRel::Invocation_InMethod, {invokeSym(), methodSym(M)});
+      if (S.Dst.isValid() && wants(BaseRel::AssignReturnValue))
+        emit(BaseRel::AssignReturnValue, {invokeSym(), varSym(S.Dst)});
+      if (wants(BaseRel::ActualParam))
+        for (uint32_t I = 0; I != S.Args.size(); ++I)
+          if (S.Args[I].isValid())
+            emit(BaseRel::ActualParam,
+                 {numberSymbol(I), invokeSym(), varSym(S.Args[I])});
+      if (S.Op != Opcode::VirtualCall)
+        continue;
+      if (wants(BaseRel::VirtualInvocation_SimpleName)) {
+        std::string_view Sig = Symbols.text(S.CalleeSignature);
+        emit(BaseRel::VirtualInvocation_SimpleName,
+             {invokeSym(), Symbols.intern(Sig.substr(0, Sig.find('(')))});
       }
+      if (wants(BaseRel::VirtualInvocation_Base))
+        emit(BaseRel::VirtualInvocation_Base, {invokeSym(), varSym(S.Base)});
     }
   }
 
@@ -172,32 +209,49 @@ void Extractor::extractProgramDelta(const Program &P,
     const Variable &Var = P.variable(V);
     if (P.method(Var.DeclaringMethod).IsRetracted)
       continue;
-    std::string VSym = encodeVar(V);
-    fact("Var_Type", {VSym, typeName(Var.DeclaredType)});
-    fact("Var_DeclaringMethod", {VSym, encodeMethod(Var.DeclaringMethod)});
+    if (wants(BaseRel::Var_Type))
+      emit(BaseRel::Var_Type, {varSym(V), typeName(Var.DeclaredType)});
+    if (wants(BaseRel::Var_DeclaringMethod))
+      emit(BaseRel::Var_DeclaringMethod,
+           {varSym(V), methodSym(Var.DeclaringMethod)});
   }
 }
 
 void Extractor::extractXml(const xml::Document &Doc,
                            std::string_view FileName) {
+  if (!wants(BaseRel::XMLNode) && !wants(BaseRel::XMLNodeAttr) &&
+      !wants(BaseRel::XMLNodeText))
+    return;
+  Symbol FileSym;
+  auto file = [&] {
+    if (!FileSym.isValid())
+      FileSym = Symbols.intern(FileName);
+    return FileSym;
+  };
   for (uint32_t Id = 0; Id != Doc.size(); ++Id) {
     const xml::Element &E = Doc.element(Id);
-    std::string ParentText = E.Parent == xml::NoParent
-                                 ? std::string("-1")
-                                 : std::to_string(E.Parent);
-    // Split "ns:name" into namespace prefix and local name.
-    std::string Ns, Local = E.Name;
-    if (size_t Colon = E.Name.find(':'); Colon != std::string::npos) {
-      Ns = E.Name.substr(0, Colon);
-      Local = E.Name.substr(Colon + 1);
+    if (wants(BaseRel::XMLNode)) {
+      // Split "ns:name" into namespace prefix and local name.
+      std::string_view Name = E.Name, Ns, Local = Name;
+      if (size_t Colon = Name.find(':'); Colon != std::string_view::npos) {
+        Ns = Name.substr(0, Colon);
+        Local = Name.substr(Colon + 1);
+      }
+      emit(BaseRel::XMLNode,
+           {file(), numberSymbol(Id),
+            E.Parent == xml::NoParent ? Symbols.intern("-1")
+                                      : numberSymbol(E.Parent),
+            Symbols.intern(Ns), Symbols.intern(Local)});
     }
-    fact("XMLNode",
-         {FileName, std::to_string(Id), ParentText, Ns, Local});
-    for (uint32_t AI = 0; AI != E.Attributes.size(); ++AI)
-      fact("XMLNodeAttr", {FileName, std::to_string(Id), std::to_string(AI),
-                           E.Attributes[AI].Name, E.Attributes[AI].Value});
-    if (!E.Text.empty())
-      fact("XMLNodeText", {FileName, std::to_string(Id), E.Text});
+    if (wants(BaseRel::XMLNodeAttr))
+      for (uint32_t AI = 0; AI != E.Attributes.size(); ++AI)
+        emit(BaseRel::XMLNodeAttr,
+             {file(), numberSymbol(Id), numberSymbol(AI),
+              Symbols.intern(E.Attributes[AI].Name),
+              Symbols.intern(E.Attributes[AI].Value)});
+    if (!E.Text.empty() && wants(BaseRel::XMLNodeText))
+      emit(BaseRel::XMLNodeText,
+           {file(), numberSymbol(Id), Symbols.intern(E.Text)});
   }
 }
 
@@ -217,114 +271,81 @@ struct SymSet {
     if (S.isValid())
       Values.insert(S.rawValue());
   }
-  void addText(const SymbolTable &Symbols, std::string_view Text) {
-    add(Symbols.lookup(Text));
+  void addEntity(const SymbolTable &Symbols, char Tag, uint32_t Index) {
+    char Buf[16];
+    add(Symbols.lookup(formatEntity(Buf, Tag, Index)));
   }
   bool contains(Symbol S) const { return Values.count(S.rawValue()) != 0; }
 };
+
+/// One set of dead owners per `Owner` kind.
+using OwnerSets = std::array<SymSet, size_t(Owner::ConfigFile) + 1>;
+
+/// Tombstones every live tuple of a demanded relation whose owner column
+/// names an entity of \p Dead (a tuple matching several owner columns is
+/// retracted once). \returns the tombstoned (relation index, tuple index)
+/// pairs.
+std::vector<std::pair<uint32_t, uint32_t>>
+retractOwned(datalog::Database &DB,
+             std::span<const datalog::RelationId, Schema.size()> Ids,
+             const Demand &Wanted, const OwnerSets &Dead) {
+  std::vector<std::pair<uint32_t, uint32_t>> Seeds;
+  for (size_t RI = 0; RI != Schema.size(); ++RI) {
+    const RelationSchema &Rel = Schema[RI];
+    const SymSet &Owners = Dead[size_t(Rel.OwnedBy)];
+    if (!Wanted[RI] || Owners.Values.empty())
+      continue;
+    datalog::Relation &R = DB.relation(Ids[RI]);
+    for (uint32_t I = 0, E = R.size(); I != E; ++I) {
+      if (!R.isLive(I))
+        continue;
+      const Symbol *Tuple = R.tuple(I);
+      for (uint32_t Col = 0; Col != Rel.Arity; ++Col)
+        if ((Rel.OwnerColumns >> Col & 1) && Owners.contains(Tuple[Col])) {
+          R.retract(I);
+          Seeds.emplace_back(Ids[RI].index(), I);
+          break;
+        }
+    }
+  }
+  return Seeds;
+}
 
 } // namespace
 
 std::vector<std::pair<uint32_t, uint32_t>> Extractor::retractEntityFacts(
     const Program &P, std::span<const TypeId> RetractedTypes,
     std::span<const MethodId> RetractedMethods) {
-  const SymbolTable &Symbols = DB.symbols();
-
   // Close over ownership: a retracted type owns its fields and methods, a
   // retracted method owns its variables and invocation sites.
-  SymSet TypeNames, FieldSyms, MethodSyms, VarSyms, InvokeSyms;
+  OwnerSets Dead;
   std::unordered_set<uint32_t> DeadMethods;
   for (MethodId M : RetractedMethods)
     DeadMethods.insert(M.index());
   for (TypeId T : RetractedTypes) {
     const Type &Ty = P.type(T);
-    TypeNames.add(Ty.Name);
+    Dead[size_t(Owner::Type)].add(Ty.Name);
     for (FieldId F : Ty.Fields)
-      FieldSyms.addText(Symbols, encodeField(F));
+      Dead[size_t(Owner::Field)].addEntity(Symbols, 'F', F.index());
     for (MethodId M : Ty.Methods)
       DeadMethods.insert(M.index());
   }
   for (uint32_t MI : DeadMethods)
-    MethodSyms.addText(Symbols, encodeMethod(MethodId(MI)));
+    Dead[size_t(Owner::Method)].addEntity(Symbols, 'M', MI);
   for (uint32_t VI = 0; VI != P.variableCount(); ++VI)
     if (DeadMethods.count(P.variable(VarId(VI)).DeclaringMethod.index()))
-      VarSyms.addText(Symbols, encodeVar(VarId(VI)));
+      Dead[size_t(Owner::Var)].addEntity(Symbols, 'V', VI);
   for (uint32_t II = 0; II != P.invokeCount(); ++II)
     if (DeadMethods.count(P.invokeSite(InvokeId(II)).Caller.index()))
-      InvokeSyms.addText(Symbols, encodeInvoke(InvokeId(II)));
-
-  std::vector<std::pair<uint32_t, uint32_t>> Seeds;
-  // Tombstones every live tuple of \p RelName whose listed column is in
-  // the corresponding set (a tuple matching several columns is retracted
-  // once).
-  auto retractWhere =
-      [&](std::string_view RelName,
-          std::initializer_list<std::pair<uint32_t, const SymSet *>> Cols) {
-        datalog::RelationId Id = DB.find(RelName);
-        if (!Id.isValid())
-          return;
-        datalog::Relation &R = DB.relation(Id);
-        for (uint32_t I = 0, E = R.size(); I != E; ++I) {
-          if (!R.isLive(I))
-            continue;
-          const Symbol *Tuple = R.tuple(I);
-          for (const auto &[Col, Set] : Cols)
-            if (Set->contains(Tuple[Col])) {
-              R.retract(I);
-              Seeds.emplace_back(Id.index(), I);
-              break;
-            }
-        }
-      };
-
-  // Owner columns mirror `extractProgramDelta`'s emission exactly.
-  retractWhere("ClassType", {{0, &TypeNames}});
-  retractWhere("InterfaceType", {{0, &TypeNames}});
-  retractWhere("ApplicationClass", {{0, &TypeNames}});
-  retractWhere("ConcreteApplicationClass", {{0, &TypeNames}});
-  retractWhere("Class_DefaultBeanId", {{0, &TypeNames}});
-  retractWhere("Class_Annotation", {{0, &TypeNames}});
-  retractWhere("SubtypeOf", {{0, &TypeNames}, {1, &TypeNames}});
-  retractWhere("Field_DeclaringType", {{0, &FieldSyms}});
-  retractWhere("Field_Name", {{0, &FieldSyms}});
-  retractWhere("Field_Type", {{0, &FieldSyms}});
-  retractWhere("Field_Annotation", {{0, &FieldSyms}});
-  retractWhere("Method_DeclaringType", {{0, &MethodSyms}});
-  retractWhere("Method_SimpleName", {{0, &MethodSyms}});
-  retractWhere("Method_Descriptor", {{0, &MethodSyms}});
-  retractWhere("ConcreteMethod", {{0, &MethodSyms}});
-  retractWhere("StaticMethod", {{0, &MethodSyms}});
-  retractWhere("Method_Annotation", {{0, &MethodSyms}});
-  retractWhere("FormalParam", {{1, &MethodSyms}});
-  retractWhere("CastInMethod", {{0, &MethodSyms}});
-  retractWhere("Var_Type", {{0, &VarSyms}});
-  retractWhere("Var_DeclaringMethod", {{0, &VarSyms}});
-  retractWhere("Invocation_InMethod", {{0, &InvokeSyms}});
-  retractWhere("ActualParam", {{1, &InvokeSyms}});
-  retractWhere("AssignReturnValue", {{0, &InvokeSyms}});
-  retractWhere("VirtualInvocation_SimpleName", {{0, &InvokeSyms}});
-  retractWhere("VirtualInvocation_Base", {{0, &InvokeSyms}});
-  return Seeds;
+      Dead[size_t(Owner::Invoke)].addEntity(Symbols, 'I', II);
+  return retractOwned(DB, Ids, Wanted, Dead);
 }
 
 std::vector<std::pair<uint32_t, uint32_t>>
 Extractor::retractConfigFacts(std::string_view FileName) {
-  std::vector<std::pair<uint32_t, uint32_t>> Seeds;
-  Symbol FileSym = DB.symbols().lookup(FileName);
-  if (!FileSym.isValid())
-    return Seeds;
-  for (std::string_view RelName : {"XMLNode", "XMLNodeAttr", "XMLNodeText"}) {
-    datalog::RelationId Id = DB.find(RelName);
-    if (!Id.isValid())
-      continue;
-    datalog::Relation &R = DB.relation(Id);
-    for (uint32_t I = 0, E = R.size(); I != E; ++I)
-      if (R.isLive(I) && R.tuple(I)[0] == FileSym) {
-        R.retract(I);
-        Seeds.emplace_back(Id.index(), I);
-      }
-  }
-  return Seeds;
+  OwnerSets Dead;
+  Dead[size_t(Owner::ConfigFile)].add(Symbols.lookup(FileName));
+  return retractOwned(DB, Ids, Wanted, Dead);
 }
 
 //===----------------------------------------------------------------------===//
@@ -334,7 +355,8 @@ Extractor::retractConfigFacts(std::string_view FileName) {
 namespace {
 
 std::string encodeEntity(char Tag, uint32_t Index) {
-  return std::string(1, Tag) + "#" + std::to_string(Index);
+  char Buf[16];
+  return std::string(formatEntity(Buf, Tag, Index));
 }
 
 uint32_t decodeEntity(char Tag, std::string_view Text) {

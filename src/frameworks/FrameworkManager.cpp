@@ -21,7 +21,10 @@ using jackee::datalog::RelationId;
 FrameworkManager::FrameworkManager(Program &P, datalog::Database &DB,
                                    MockPolicyOptions Options,
                                    datalog::PlanMode Plan)
-    : P(P), DB(DB), Options(Options), Plan(Plan), Facts(DB) {
+    : P(P), DB(DB), Options(Options), Plan(Plan) {
+  // Rule text may name any base relation, so the schema is declared before
+  // the first rule parses; `prepare()` decides which relations to fill.
+  facts::declareSchema(DB);
   std::string Err = addRules("vocabulary.dl", VOCABULARY);
   assert(Err.empty() && "vocabulary must parse");
   (void)Err;
@@ -64,7 +67,7 @@ std::string FrameworkManager::addConfigXml(std::string_view FileName,
   if (Prepared) {
     observe::Span XmlSpan(Trace, "extract-xml", "frameworks");
     XmlSpan.arg("file", Configs.back().first);
-    Facts.extractXml(Configs.back().second, Configs.back().first);
+    Facts->extractXml(Configs.back().second, Configs.back().first);
   }
   return "";
 }
@@ -78,7 +81,7 @@ std::string FrameworkManager::removeConfigXml(
     return "removeConfigXml: no config named '" + std::string(FileName) + "'";
   Configs.erase(It);
   std::vector<std::pair<uint32_t, uint32_t>> Retracted =
-      Facts.retractConfigFacts(FileName);
+      Facts->retractConfigFacts(FileName);
   Seeds.insert(Seeds.end(), Retracted.begin(), Retracted.end());
   return "";
 }
@@ -103,6 +106,15 @@ void FrameworkManager::rebindMetricsRegistry(observe::MetricsRegistry *R) {
 
 std::string FrameworkManager::prepare() {
   assert(!Prepared && "prepare() called twice");
+  // The demand set: a base fact no rule body reads cannot change a result
+  // (DESIGN.md §3.4).
+  facts::Demand Wanted;
+  for (const datalog::Rule &R : Rules.rules())
+    for (const datalog::Atom &A : R.Body)
+      if (std::optional<size_t> Base =
+              facts::findBaseRelation(DB.relation(A.Rel).name()))
+        Wanted.set(*Base);
+  Facts.emplace(DB, Wanted);
   if (Provenance)
     Provenance->beginEpoch("extraction");
   if (BaseFacts) {
@@ -112,21 +124,22 @@ std::string FrameworkManager::prepare() {
     // the loaded tuples exactly like freshly extracted ones.
     {
       observe::Span LoadSpan(Trace, "load-base-facts", "frameworks");
-      if (std::string Err = facts::bulkLoadBaseFacts(DB, *BaseFacts);
+      if (std::string Err =
+              facts::bulkLoadBaseFacts(DB, *BaseFacts, Wanted);
           !Err.empty())
         return "base-fact load: " + Err;
     }
     observe::Span ExtractSpan(Trace, "extract-program", "frameworks");
-    Facts.extractProgramDelta(P, BaseFacts->Watermark);
+    Facts->extractProgramDelta(P, BaseFacts->Watermark);
     BaseFacts = nullptr; // loaded; the caller may free the set now
   } else {
     observe::Span ExtractSpan(Trace, "extract-program", "frameworks");
-    Facts.extractProgram(P);
+    Facts->extractProgram(P);
   }
   for (const auto &[FileName, Doc] : Configs) {
     observe::Span XmlSpan(Trace, "extract-xml", "frameworks");
     XmlSpan.arg("file", FileName);
-    Facts.extractXml(Doc, FileName);
+    Facts->extractXml(Doc, FileName);
   }
   Eval = std::make_unique<datalog::Evaluator>(DB, Rules, Plan);
   if (std::string Err = Eval->validate(); !Err.empty())

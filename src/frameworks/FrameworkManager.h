@@ -9,7 +9,8 @@
 /// points-to solver as a `Plugin` (the paper's recursive framework/analysis
 /// interaction, Section 3.5):
 ///
-///   1. base facts are extracted from the IR and XML configs;
+///   1. the base facts some rule reads are extracted from the IR and XML
+///      configs;
 ///   2. registered rule sets (vocabulary + per-framework models) are
 ///      evaluated to derive EntryPointClass / ExercisedEntryPoint / Bean /
 ///      BeanFieldInjection / GetBeanInvocation;
@@ -38,6 +39,7 @@
 #include "xml/Xml.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -159,9 +161,13 @@ public:
     BaseFacts = Facts;
   }
 
-  /// The fact extractor bound to this manager's database — the update path
-  /// drives `extractProgramDelta`/`retractEntityFacts` through it.
-  facts::Extractor &facts() { return Facts; }
+  /// The fact extractor bound to this manager's database, built by
+  /// `prepare()` — the update path drives
+  /// `extractProgramDelta`/`retractEntityFacts` through it.
+  facts::Extractor &facts() {
+    assert(Facts && "the extractor exists once prepare() ran");
+    return *Facts;
+  }
 
   /// True when the glue already materialized the per-class abstract object
   /// for \p T (as a mock or a bean). The update path's warm-path check: a
@@ -184,9 +190,12 @@ public:
   /// provenance records point into this.
   const datalog::RuleSet &rules() const { return Rules; }
 
-  /// Extracts program + XML facts and builds the evaluator. Call after
-  /// `P.finalize()` and after all rules/configs are registered. \returns
-  /// empty string or a stratification diagnostic.
+  /// Computes the cell's demand set — every base relation read in a rule
+  /// body of `rules()`: the vocabulary, the framework models or the
+  /// baseline, and any extra rules — then extracts (or bulk-loads) exactly
+  /// those relations from the program and XML configs and builds the
+  /// evaluator. Call after `P.finalize()` and after all rules/configs are
+  /// registered. \returns empty string or a stratification diagnostic.
   std::string prepare();
 
   /// Plugin hook: evaluates rules against current facts and injects
@@ -237,7 +246,7 @@ private:
   datalog::PlanMode Plan;
   datalog::RuleSet Rules;
   std::unique_ptr<datalog::Evaluator> Eval;
-  facts::Extractor Facts;
+  std::optional<facts::Extractor> Facts;
 
   std::vector<std::pair<std::string, xml::Document>> Configs;
 

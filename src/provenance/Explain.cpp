@@ -90,19 +90,19 @@ DerivationNode Explainer::explain(RelationId Rel, uint32_t TupleIdx) const {
   return explainImpl(Rel.index(), TupleIdx, 0, Budget, Path);
 }
 
-std::vector<DerivationNode>
-Explainer::explainQuery(std::string_view Query, std::string &Error) const {
-  Error.clear();
-  std::vector<DerivationNode> Out;
+namespace {
 
-  auto trim = [](std::string_view S) {
-    while (!S.empty() && (S.front() == ' ' || S.front() == '\t'))
-      S.remove_prefix(1);
-    while (!S.empty() && (S.back() == ' ' || S.back() == '\t'))
-      S.remove_suffix(1);
-    return S;
-  };
+std::string_view trim(std::string_view S) {
+  while (!S.empty() && (S.front() == ' ' || S.front() == '\t'))
+    S.remove_prefix(1);
+  while (!S.empty() && (S.back() == ' ' || S.back() == '\t'))
+    S.remove_suffix(1);
+  return S;
+}
 
+} // namespace
+
+std::string_view Explainer::queryRelation(std::string_view Query) {
   std::string_view Rest = trim(Query);
   size_t NameEnd = 0;
   while (NameEnd < Rest.size() &&
@@ -110,12 +110,20 @@ Explainer::explainQuery(std::string_view Query, std::string &Error) const {
           Rest[NameEnd] == '_' || Rest[NameEnd] == '$' ||
           Rest[NameEnd] == '.'))
     ++NameEnd;
-  if (NameEnd == 0) {
+  return Rest.substr(0, NameEnd);
+}
+
+std::vector<DerivationNode>
+Explainer::explainQuery(std::string_view Query, std::string &Error) const {
+  Error.clear();
+  std::vector<DerivationNode> Out;
+
+  std::string_view Name = queryRelation(Query);
+  if (Name.empty()) {
     Error = "expected a relation name";
     return Out;
   }
-  std::string_view Name = Rest.substr(0, NameEnd);
-  Rest = trim(Rest.substr(NameEnd));
+  std::string_view Rest = trim(trim(Query).substr(Name.size()));
 
   RelationId Id = DB.find(Name);
   if (!Id.isValid()) {

@@ -73,6 +73,10 @@ public:
   std::vector<DerivationNode> explainQuery(std::string_view Query,
                                            std::string &Error) const;
 
+  /// The relation name \p Query starts with; empty when it starts with
+  /// none.
+  static std::string_view queryRelation(std::string_view Query);
+
   /// Renders \p Node as an indented text tree, one atom per line, with
   /// `[rule: ...]` / `[base fact: epoch ...]` source annotations.
   static std::string renderText(const DerivationNode &Node);

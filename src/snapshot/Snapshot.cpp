@@ -748,12 +748,14 @@ BaseProgram jackee::snapshot::buildBase(javalib::CollectionModel Model) {
   // Extract the base facts once, into a throwaway database. `finalize()`
   // writes only derived members and interns nothing, so `clearDerived()`
   // restores the exact pre-finalize program — but the *extraction* interns
-  // the fact-entity symbols ("T#3", "M#7", ...), which is intentional:
+  // the fact-entity symbols ("M#7", "V#42", ...), which is intentional:
   // cells built from this snapshot then intern identical symbol ids in
-  // identical order to cells that ran a full extraction themselves.
+  // identical order to cells that ran a full extraction themselves. The
+  // image holds every relation, so one image serves any cell's demand
+  // set (`Application::ExtraRules` included).
   B.Base->finalize();
   datalog::Database Scratch(*B.Symbols);
-  facts::Extractor Ex(Scratch);
+  facts::Extractor Ex(Scratch, facts::allRelations());
   Ex.extractProgram(*B.Base);
   B.Facts = facts::captureBaseFacts(Scratch);
   B.Facts.Watermark = facts::Extractor::watermarkOf(*B.Base);

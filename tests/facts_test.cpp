@@ -3,14 +3,19 @@
 // Part of JackEE-CPP (PLDI'20 "Frameworks and Caches" reproduction).
 //
 // The extractor produces the paper's Figure 1/2 base relations; these tests
-// pin the schema, the entity encoding round-trip, and the shape of the
-// extracted tuples for a small program and an XML config.
+// pin the schema, the entity encoding round-trip, the shape of the
+// extracted tuples for a small program and an XML config (under an explicit
+// all-relations demand), and that a partial demand fills only its
+// relations.
 //
 //===----------------------------------------------------------------------===//
 
 #include "facts/Extractor.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
 
 using namespace jackee;
 using namespace jackee::facts;
@@ -20,7 +25,7 @@ namespace {
 
 class FactsTest : public ::testing::Test {
 protected:
-  FactsTest() : DB(Symbols), P(Symbols), Ex(DB) {
+  FactsTest() : DB(Symbols), P(Symbols), Ex(DB, allRelations()) {
     Object = P.addClass("java.lang.Object", TypeKind::Class,
                         TypeId::invalid());
     P.addClass("java.lang.String", TypeKind::Class, Object);
@@ -34,17 +39,18 @@ protected:
 };
 
 TEST_F(FactsTest, SchemaDeclared) {
-  for (const char *Rel :
-       {"ClassType", "InterfaceType", "ApplicationClass",
-        "ConcreteApplicationClass", "SubtypeOf", "Class_Annotation",
-        "Method_Annotation", "Field_Annotation", "Method_DeclaringType",
-        "Method_SimpleName", "ConcreteMethod", "StaticMethod",
-        "Field_DeclaringType", "Field_Name", "Field_Type", "Var_Type",
-        "FormalParam", "ActualParam", "AssignReturnValue",
-        "VirtualInvocation_SimpleName", "VirtualInvocation_Base",
-        "Invocation_InMethod", "CastInMethod", "Class_DefaultBeanId",
-        "XMLNode", "XMLNodeAttr", "XMLNodeText"})
-    EXPECT_TRUE(DB.find(Rel).isValid()) << Rel;
+  EXPECT_EQ(Schema.size(), 29u);
+  for (size_t I = 0; I != Schema.size(); ++I) {
+    const RelationSchema &Rel = Schema[I];
+    datalog::RelationId Id = DB.find(Rel.Name);
+    ASSERT_TRUE(Id.isValid()) << Rel.Name;
+    EXPECT_EQ(DB.relation(Id).arity(), Rel.Arity) << Rel.Name;
+    EXPECT_EQ(findBaseRelation(Rel.Name), std::optional<size_t>(I));
+    // Owner columns name real columns.
+    EXPECT_NE(Rel.OwnerColumns, 0u) << Rel.Name;
+    EXPECT_EQ(Rel.OwnerColumns >> Rel.Arity, 0u) << Rel.Name;
+  }
+  EXPECT_FALSE(findBaseRelation("ExercisedEntryPoint").has_value());
 }
 
 TEST_F(FactsTest, EntityEncodingRoundTrip) {
@@ -154,6 +160,62 @@ TEST_F(FactsTest, NamespacedXmlSplitsPrefix) {
   Ex.extractXml(*R.Doc, "sec.xml");
   EXPECT_TRUE(DB.containsFact(
       "XMLNode", {"sec.xml", "1", "0", "security", "authentication-manager"}));
+}
+
+TEST_F(FactsTest, PartialDemandFillsOnlyItsRelations) {
+  // One program that fills every base relation under a full demand.
+  TypeId Iface = P.addClass("app.Handler", TypeKind::Interface, Object, {},
+                            true, true);
+  TypeId Servlet = P.addClass("javax.servlet.GenericServlet",
+                              TypeKind::Class, Object);
+  TypeId App = P.addClass("app.Home", TypeKind::Class, Servlet, {Iface},
+                          false, /*IsApplication=*/true);
+  P.annotateType(App, "@WebServlet");
+  P.annotateField(P.addField(App, "dep", Object), "@Inject");
+  MethodBuilder M = P.addMethod(App, "service", {Object}, Object);
+  P.annotateMethod(M.id(), "@GET");
+  VarId Cast = M.local("c", App);
+  VarId Out = M.local("out", Object);
+  M.cast(Cast, App, M.param(0))
+      .virtualCall(Out, Cast, "service", {Object}, {M.param(0)})
+      .ret(Out);
+  P.addMethod(App, "util", {}, TypeId::invalid(), /*IsStatic=*/true);
+  P.finalize();
+  xml::ParseResult Xml = xml::Parser::parse(
+      "<web-app><servlet id=\"home\">app.Home</servlet></web-app>");
+  ASSERT_TRUE(Xml.ok());
+
+  // The partial run goes first, so the symbol table shows what it interned.
+  datalog::Database PartialDB(Symbols);
+  Demand Wanted;
+  Wanted.set(size_t(BaseRel::ConcreteApplicationClass));
+  Wanted.set(size_t(BaseRel::SubtypeOf));
+  Extractor Partial(PartialDB, Wanted);
+  EXPECT_EQ(Partial.demand(), Wanted);
+  Partial.extractProgram(P);
+  Partial.extractXml(*Xml.Doc, "web.xml");
+  EXPECT_FALSE(Symbols.lookup(Extractor::encodeMethod(M.id())).isValid());
+  EXPECT_FALSE(Symbols.lookup("web.xml").isValid());
+  EXPECT_TRUE(PartialDB.containsFact(
+      "SubtypeOf", {"app.Home", "javax.servlet.GenericServlet"}));
+
+  Ex.extractProgram(P);
+  Ex.extractXml(*Xml.Doc, "web.xml");
+  for (const RelationSchema &Rel : Schema) {
+    const datalog::Relation &Got = PartialDB.relation(PartialDB.find(Rel.Name));
+    const datalog::Relation &Full = DB.relation(DB.find(Rel.Name));
+    EXPECT_GT(Full.size(), 0u) << Rel.Name << " is empty in the full run";
+    if (Rel.Name != "ConcreteApplicationClass" && Rel.Name != "SubtypeOf") {
+      EXPECT_EQ(Got.size(), 0u) << Rel.Name;
+      continue;
+    }
+    // A demanded relation holds exactly the full extraction's tuples.
+    ASSERT_EQ(Got.size(), Full.size()) << Rel.Name;
+    for (uint32_t T = 0; T != Got.size(); ++T)
+      EXPECT_TRUE(std::equal(Got.tuple(T), Got.tuple(T) + Rel.Arity,
+                             Full.tuple(T)))
+          << Rel.Name << " tuple " << T;
+  }
 }
 
 TEST_F(FactsTest, StaticMethodsMarked) {

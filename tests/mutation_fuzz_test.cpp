@@ -180,7 +180,7 @@ TEST(MutationFuzz, ConfigXml) {
   ASSERT_FALSE(Seeds.empty());
   SymbolTable Symbols;
   datalog::Database DB(Symbols);
-  facts::Extractor Facts(DB);
+  facts::Extractor Facts(DB, facts::allRelations());
   std::mt19937 Rng(/*seed=*/78);
   unsigned Parsed = 0;
   constexpr unsigned Mutants = 2000;
@@ -211,7 +211,7 @@ TEST(MutationFuzz, RuleText) {
   // otherwise nearly every mutant would stop at an undeclared relation.
   SymbolTable Symbols;
   datalog::Database DB(Symbols);
-  facts::Extractor Facts(DB);
+  facts::declareSchema(DB);
   datalog::RuleSet Vocabulary;
   datalog::ParserResult Base = datalog::parseRules(
       DB, Vocabulary, frameworks::VOCABULARY, "vocabulary.dl");

@@ -5,14 +5,19 @@
 // Covers the batch analysis API: image equivalence (cells decoding one
 // memoized base-program image are bit-identical to cells that each got a
 // fresh image), one image build per collection model, matrix determinism
-// across job counts, error-path reporting, metrics JSON serialization, and
-// an oracle that recomputes every paper metric from its definition.
+// across job counts, error-path reporting, metrics JSON serialization, an
+// oracle that recomputes every paper metric from its definition, and the
+// demand contract of fact extraction (a cell holds exactly the base facts
+// its rules read, as a full extraction would).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Report.h"
 #include "core/Session.h"
+#include "datalog/Evaluator.h"
 #include "datalog/Parser.h"
+#include "facts/Extractor.h"
+#include "snapshot/Snapshot.h"
 #include "synth/SynthApp.h"
 #include "xml/Xml.h"
 
@@ -526,6 +531,251 @@ TEST(MetricsOracle, LiveCellAfterWarmAndResetUpdates) {
   ASSERT_TRUE(Live->update(Retract).ok());
   EXPECT_EQ(lastUpdateMode(*Session.tracer()), "reset");
   expectMetricsMatchDefinitions(*Live);
+}
+
+//===----------------------------------------------------------------------===//
+// Demand-driven extraction
+//===----------------------------------------------------------------------===//
+
+/// \p App's program extracted in full: the builders' base program of
+/// \p Kind's collection model, the application populated on top, and every
+/// base relation of the program and its configs — the reference a
+/// demand-driven cell must agree with.
+struct FullExtraction {
+  snapshot::BaseProgram Base;
+  std::unique_ptr<datalog::Database> DB;
+  uint32_t BaseMethods = 0; ///< methods of the image, below the app's
+};
+
+FullExtraction fullExtraction(const Application &App, AnalysisKind Kind) {
+  FullExtraction F{snapshot::buildBase(collectionModel(Kind)), nullptr};
+  ir::Program &P = *F.Base.Base;
+  F.BaseMethods = P.methodCount();
+  std::vector<std::pair<std::string, std::string>> Configs =
+      App.Populate(P, F.Base.Lib, F.Base.Frameworks);
+  P.finalize();
+  F.DB = std::make_unique<datalog::Database>(*F.Base.Symbols);
+  facts::Extractor Ex(*F.DB, facts::allRelations());
+  Ex.extractProgram(P);
+  for (const auto &[Name, Text] : Configs) {
+    xml::ParseResult Doc = xml::Parser::parse(Text);
+    EXPECT_TRUE(Doc.ok()) << Name;
+    if (Doc.ok())
+      Ex.extractXml(*Doc.Doc, Name);
+  }
+  return F;
+}
+
+/// Relation \p Name of \p DB as text tuples, in tuple order.
+std::vector<std::string> textTuples(const datalog::Database &DB,
+                                    std::string_view Name) {
+  std::vector<std::string> Out;
+  const datalog::Relation &R = DB.relation(DB.find(Name));
+  for (uint32_t I = 0; I != R.size(); ++I) {
+    std::string Row;
+    for (uint32_t C = 0; C != R.arity(); ++C)
+      Row += (C ? "|" : "") + DB.symbols().text(R.tuple(I)[C]);
+    Out.push_back(std::move(Row));
+  }
+  return Out;
+}
+
+/// The base relations some rule body of \p Cell reads, by name.
+std::set<std::string> relationsRead(const AnalysisCell &Cell) {
+  std::set<std::string> Read;
+  for (const datalog::Rule &R : Cell.rules().rules())
+    for (const datalog::Atom &A : R.Body)
+      if (facts::findBaseRelation(Cell.database().relation(A.Rel).name()))
+        Read.insert(Cell.database().relation(A.Rel).name());
+  return Read;
+}
+
+TEST(DemandContract, DemandedRelationsMatchFullExtraction) {
+  SessionOptions SO;
+  SO.Jobs = 1;
+  AnalysisSession Session(SO);
+  for (Application App : {synth::applicationFor(synth::BenchApp::Pybbs),
+                          synth::applicationFor(synth::BenchApp::SpringBlog),
+                          synth::applicationFor(synth::BenchApp::WebGoat),
+                          synth::petstoreApp(), synth::dacapoLikeApp()})
+    for (AnalysisKind Kind : {AnalysisKind::DoopBaselineCI, AnalysisKind::CI,
+                              AnalysisKind::Mod2ObjH}) {
+      SCOPED_TRACE(App.Name + "/" + analysisName(Kind));
+      CellResult Cell = Session.open(App, Kind);
+      ASSERT_TRUE(Cell.ok()) << Cell.error().Message;
+      FullExtraction Full = fullExtraction(App, Kind);
+      std::set<std::string> Read = relationsRead(*Cell);
+      if (Kind == AnalysisKind::DoopBaselineCI)
+        // The baseline reads the subtype facts, the vocabulary the rest;
+        // no XML fact is extracted.
+        EXPECT_EQ(Read, (std::set<std::string>{
+                            "Class_DefaultBeanId", "ConcreteApplicationClass",
+                            "ConcreteMethod", "Method_DeclaringType",
+                            "SubtypeOf"}));
+      else
+        // The invocation relations wait for a rule that reads them.
+        for (const char *Unread : {"ActualParam", "AssignReturnValue",
+                                   "Invocation_InMethod",
+                                   "Var_DeclaringMethod"})
+          EXPECT_EQ(Read.count(Unread), 0u) << Unread;
+
+      for (const facts::RelationSchema &Rel : facts::Schema) {
+        std::vector<std::string> Got =
+            textTuples(Cell->database(), Rel.Name);
+        if (!Read.count(std::string(Rel.Name))) {
+          EXPECT_TRUE(Got.empty()) << Rel.Name;
+          continue;
+        }
+        EXPECT_EQ(Got, textTuples(*Full.DB, Rel.Name)) << Rel.Name;
+      }
+    }
+}
+
+TEST(DemandContract, ExtraRulesReadingCallFactsMatchFullExtraction) {
+  const char *CallRules = R"dl(
+.decl CallFlow(inv: symbol, caller: symbol, arg: symbol, ret: symbol)
+CallFlow(inv, caller, arg, ret) :-
+  Invocation_InMethod(inv, caller),
+  ActualParam(_, inv, arg),
+  AssignReturnValue(inv, ret).
+)dl";
+  Application App = synth::petstoreApp();
+  App.ExtraRules.push_back({"callflow.dl", CallRules});
+  SessionOptions SO;
+  SO.Jobs = 1;
+  AnalysisSession Session(SO);
+  CellResult Cell = Session.open(App, AnalysisKind::CI);
+  ASSERT_TRUE(Cell.ok()) << Cell.error().Message;
+
+  // The same rule, evaluated against a full extraction.
+  FullExtraction Full = fullExtraction(App, AnalysisKind::CI);
+  datalog::RuleSet Rules;
+  datalog::ParserResult Parsed =
+      datalog::parseRules(*Full.DB, Rules, CallRules, "callflow.dl");
+  ASSERT_TRUE(Parsed.Ok) << Parsed.Error;
+  datalog::Evaluator Eval(*Full.DB, Rules);
+  ASSERT_TRUE(Eval.validate().empty());
+  Eval.run();
+
+  std::vector<std::string> Got = textTuples(Cell->database(), "CallFlow");
+  std::vector<std::string> Want = textTuples(*Full.DB, "CallFlow");
+  std::sort(Got.begin(), Got.end());
+  std::sort(Want.begin(), Want.end());
+  EXPECT_EQ(Got, Want);
+
+  // Call sites of the library methods come from the image.
+  size_t LibraryCalls = 0;
+  for (const std::string &Row : Got) {
+    std::string Caller = Row.substr(Row.find('|') + 1);
+    Caller.resize(Caller.find('|'));
+    ir::MethodId M = facts::Extractor::decodeMethod(Caller);
+    ASSERT_TRUE(M.isValid()) << Row;
+    LibraryCalls += M.index() < Full.BaseMethods;
+  }
+  EXPECT_GT(LibraryCalls, 0u);
+  EXPECT_LT(LibraryCalls, Got.size());
+}
+
+TEST(DemandContract, ExplainNamesAnUnextractedRelation) {
+  SessionOptions SO;
+  SO.Jobs = 1;
+  AnalysisSession Session(SO);
+  CellResult Cell = Session.open(synth::petstoreApp(), AnalysisKind::CI);
+  ASSERT_TRUE(Cell.ok()) << Cell.error().Message;
+
+  std::string Error;
+  for (const char *Query : {"ActualParam", " ActualParam(_, _, _)"}) {
+    EXPECT_TRUE(Cell->explain(Query, Error).empty()) << Query;
+    EXPECT_EQ(Error,
+              "'ActualParam' is not extracted in this cell: no rule reads it")
+        << Query;
+  }
+  // Extracted base relations and derived ones still explain.
+  EXPECT_FALSE(Cell->explain("SubtypeOf(\"shop.CheckoutServlet\", _)", Error)
+                   .empty());
+  EXPECT_TRUE(Error.empty()) << Error;
+  EXPECT_FALSE(Cell->explain("ExercisedEntryPoint", Error).empty());
+  EXPECT_TRUE(Error.empty()) << Error;
+  EXPECT_TRUE(Cell->explain("NoSuchRelation", Error).empty());
+  EXPECT_EQ(Error, "unknown relation 'NoSuchRelation'");
+
+  // A rule that reads the relation puts it back in the demand set.
+  Application Reading = synth::petstoreApp();
+  Reading.ExtraRules.push_back(
+      {"args.dl", ".decl Arg(v: symbol)\nArg(v) :- ActualParam(_, _, v).\n"});
+  CellResult ReadingCell = Session.open(Reading, AnalysisKind::CI);
+  ASSERT_TRUE(ReadingCell.ok()) << ReadingCell.error().Message;
+  EXPECT_FALSE(ReadingCell->explain("ActualParam", Error).empty());
+  EXPECT_TRUE(Error.empty()) << Error;
+}
+
+TEST(DemandContract, BaselineLiveCellMatchesScratchAfterUpdates) {
+  // Doop-ci reads no XML fact, so the warm config edit extracts nothing;
+  // the reset edit retracts a servlet and adds another, through the
+  // baseline's five relations only.
+  CellDelta Register;
+  Register.AddConfigs.push_back(
+      {"metrics-web.xml", "<web-app>\n  <listener>\n    <listener-class>"
+                          "shop.AuditListener</listener-class>\n"
+                          "  </listener>\n</web-app>\n"});
+  CellDelta Swap;
+  Swap.RetractClasses.push_back("shop.CheckoutServlet");
+  Swap.AddCode = [](ir::Program &P, const javalib::JavaLib &L,
+                    const frameworks::FrameworkLib &F) {
+    ir::TypeId T = P.addClass("shop.AuditServlet", ir::TypeKind::Class,
+                              F.HttpServlet, {}, false,
+                              /*IsApplication=*/true);
+    P.addMethod(T, "<init>", {}, ir::TypeId::invalid());
+    ir::MethodBuilder DoGet = P.addMethod(
+        T, "doGet", {F.HttpServletRequest, F.HttpServletResponse},
+        ir::TypeId::invalid());
+    ir::VarId Log = DoGet.local("log", L.HashMap);
+    DoGet.alloc(Log, L.HashMap)
+        .specialCall(ir::VarId::invalid(), Log, L.HashMapInit, {});
+  };
+
+  SessionOptions SO;
+  SO.Jobs = 1;
+  SO.Trace = true;
+  AnalysisSession Session(SO);
+  CellResult Live =
+      Session.open(synth::petstoreApp(), AnalysisKind::DoopBaselineCI);
+  ASSERT_TRUE(Live.ok()) << Live.error().Message;
+  uint32_t ColdEntries = Live->metrics().EntryPointsExercised;
+  EXPECT_GT(ColdEntries, 0u);
+
+  std::vector<CellDelta> Applied;
+  for (const auto &[Delta, Mode] :
+       {std::pair{Register, "warm"}, std::pair{Swap, "reset"}}) {
+    Applied.push_back(Delta);
+    SCOPED_TRACE(Mode);
+    ASSERT_TRUE(Live->update(Delta).ok());
+    EXPECT_EQ(lastUpdateMode(*Session.tracer()), Mode);
+    CellResult Scratch = Session.open(applyDelta(synth::petstoreApp(), Applied),
+                                      AnalysisKind::DoopBaselineCI);
+    ASSERT_TRUE(Scratch.ok()) << Scratch.error().Message;
+    EXPECT_EQ(Live->canonicalDigest(), Scratch->canonicalDigest());
+    EXPECT_EQ(Live->metrics().AppReachableMethods,
+              Scratch->metrics().AppReachableMethods);
+    EXPECT_EQ(Live->metrics().EntryPointsExercised,
+              Scratch->metrics().EntryPointsExercised);
+    expectMetricsMatchDefinitions(*Live);
+    for (const facts::RelationSchema &Rel : facts::Schema) {
+      // Live tuples, as a set: the live cell keeps tombstoned slots.
+      auto live = [&](const AnalysisCell &C) {
+        std::multiset<std::string> Rows;
+        const datalog::Relation &R =
+            C.database().relation(C.database().find(Rel.Name));
+        std::vector<std::string> All = textTuples(C.database(), Rel.Name);
+        for (uint32_t I = 0; I != R.size(); ++I)
+          if (R.isLive(I))
+            Rows.insert(All[I]);
+        return Rows;
+      };
+      EXPECT_EQ(live(*Live), live(*Scratch)) << Rel.Name;
+    }
+  }
+  EXPECT_NE(Live->metrics().EntryPointsExercised, ColdEntries);
 }
 
 } // namespace
