@@ -162,6 +162,9 @@ public:
     return static_cast<uint32_t>(Values.size());
   }
 
+  /// Nodes interned so far; `NodeId`s are dense in [0, nodeCount()).
+  uint32_t nodeCount() const { return static_cast<uint32_t>(Nodes.size()); }
+
   /// Context instances (variable nodes) of \p Var created so far.
   const std::vector<NodeId> &varInstances(ir::VarId Var) const;
 

@@ -3,9 +3,10 @@
 // Part of JackEE-CPP (PLDI'20 "Frameworks and Caches" reproduction).
 //
 // The staged drain (DESIGN.md §11) fixes the order in which values reach
-// points-to sets. These pins fix two cells' effort counters and set
-// insertion orders to recorded values, so a change that claims to keep the
-// propagation order has to reproduce them exactly.
+// points-to sets. These pins fix three cells' effort counters, set
+// insertion orders and call-graph growth order to recorded values, so a
+// change that claims to keep the propagation order has to reproduce them
+// exactly.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,29 +24,63 @@ using namespace jackee::pointsto;
 
 namespace {
 
-/// FNV-1a over every var node's points-to set in insertion order: vars by
-/// id, each var's context instances in creation order, each set's value ids
-/// in the order propagation inserted them. Equal hashes mean the same sets
-/// were filled in the same order, not merely to the same contents.
-uint64_t varSetOrderHash(const Solver &S) {
-  uint64_t Hash = 0xcbf29ce484222325ULL;
-  auto Mix = [&Hash](uint64_t Word) {
+/// FNV-1a over 64-bit words, byte by byte.
+class OrderHash {
+public:
+  void mix(uint64_t Word) {
     for (int Byte = 0; Byte != 8; ++Byte) {
       Hash ^= (Word >> (8 * Byte)) & 0xFF;
       Hash *= 0x100000001b3ULL;
     }
-  };
+  }
+  uint64_t value() const { return Hash; }
+
+private:
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+};
+
+/// Every var node's points-to set in insertion order: vars by id, each
+/// var's context instances in creation order, each set's value ids in the
+/// order propagation inserted them. Equal hashes mean the same sets were
+/// filled in the same order, not merely to the same contents.
+uint64_t varSetOrderHash(const Solver &S) {
+  OrderHash H;
   for (uint32_t VI = 0; VI != S.program().variableCount(); ++VI)
     for (NodeId N : S.varInstances(VarId(VI))) {
-      Mix(packPair(VI, N.rawValue()));
+      H.mix(packPair(VI, N.rawValue()));
       for (uint32_t Raw : S.pointsTo(N))
-        Mix(Raw);
+        H.mix(Raw);
     }
-  return Hash;
+  return H.value();
 }
 
-/// A cell's solver effort counters and set order, as recorded. A change
-/// that keeps the propagation order must reproduce them exactly; one that
+/// Every node's set — field, array, static, throw and catch nodes too — by
+/// node id, so node interning order is pinned along with insertion order.
+uint64_t nodeSetOrderHash(const Solver &S) {
+  OrderHash H;
+  for (uint32_t NI = 0; NI != S.nodeCount(); ++NI) {
+    const InsertOrderSet &Set = S.pointsTo(NodeId(NI));
+    H.mix(packPair(NI, static_cast<uint32_t>(Set.size())));
+    for (uint32_t Raw : Set)
+      H.mix(Raw);
+  }
+  return H.value();
+}
+
+/// The call graph's first-wired edge sequence and the reachable (method,
+/// context) pairs in first-reached order.
+uint64_t callGraphOrderHash(const Solver &S) {
+  OrderHash H;
+  for (uint64_t Edge : S.callGraphEdges())
+    H.mix(Edge);
+  for (uint32_t Raw : S.reachableCMethods())
+    H.mix(packPair(S.cmethodMethod(CMethodId(Raw)).rawValue(),
+                   S.cmethodCtx(CMethodId(Raw)).rawValue()));
+  return H.value();
+}
+
+/// A cell's solver effort counters and orders, as recorded. A change that
+/// keeps the propagation order must reproduce them exactly; one that
 /// changes the order on purpose re-records them and says why.
 struct OrderPin {
   synth::BenchApp App;
@@ -54,6 +89,9 @@ struct OrderPin {
   uint32_t PluginRounds;
   uint64_t SetOrderHash;
   size_t LargestVarSet; ///< far past the sets' scan-to-bitset switch
+  uint32_t Nodes;
+  uint64_t NodeSetOrderHash;
+  uint64_t CallGraphOrderHash;
 };
 
 void expectPinned(const OrderPin &Pin) {
@@ -75,6 +113,9 @@ void expectPinned(const OrderPin &Pin) {
   EXPECT_EQ(S.stats().PluginRounds, Pin.PluginRounds);
   EXPECT_EQ(varSetOrderHash(S), Pin.SetOrderHash);
   EXPECT_EQ(Largest, Pin.LargestVarSet);
+  EXPECT_EQ(S.nodeCount(), Pin.Nodes);
+  EXPECT_EQ(nodeSetOrderHash(S), Pin.NodeSetOrderHash);
+  EXPECT_EQ(callGraphOrderHash(S), Pin.CallGraphOrderHash);
 }
 
 TEST(PointsToOrderPin, WebGoat2ObjH) {
@@ -82,7 +123,9 @@ TEST(PointsToOrderPin, WebGoat2ObjH) {
                 /*WorkItems=*/47307, /*Rounds=*/33, /*EdgesAdded=*/20309,
                 /*ReactionsRun=*/10165, /*PluginRounds=*/2,
                 /*SetOrderHash=*/12890229860717409760ULL,
-                /*LargestVarSet=*/62});
+                /*LargestVarSet=*/62, /*Nodes=*/9076,
+                /*NodeSetOrderHash=*/17559045104955714570ULL,
+                /*CallGraphOrderHash=*/13218963960491359758ULL});
 }
 
 TEST(PointsToOrderPin, PybbsMod2ObjH) {
@@ -90,7 +133,23 @@ TEST(PointsToOrderPin, PybbsMod2ObjH) {
                 /*WorkItems=*/23103, /*Rounds=*/28, /*EdgesAdded=*/12811,
                 /*ReactionsRun=*/5488, /*PluginRounds=*/2,
                 /*SetOrderHash=*/4174156672662490441ULL,
-                /*LargestVarSet=*/73});
+                /*LargestVarSet=*/73, /*Nodes=*/4580,
+                /*NodeSetOrderHash=*/4701208184883648524ULL,
+                /*CallGraphOrderHash=*/3505139064646374941ULL});
+}
+
+/// A context-insensitive cell of a large app: 301 cast records, most of
+/// whose filters reject some source value, catch routing of the java.util
+/// models' exceptions, and interning tables that grow through many
+/// resizes.
+TEST(PointsToOrderPin, DotCMSCi) {
+  expectPinned({synth::BenchApp::DotCMS, core::AnalysisKind::CI,
+                /*WorkItems=*/405272, /*Rounds=*/29, /*EdgesAdded=*/32691,
+                /*ReactionsRun=*/48369, /*PluginRounds=*/2,
+                /*SetOrderHash=*/8802010730966064784ULL,
+                /*LargestVarSet=*/442, /*Nodes=*/9650,
+                /*NodeSetOrderHash=*/5535888807610154912ULL,
+                /*CallGraphOrderHash=*/3028414799396689958ULL});
 }
 
 } // namespace
