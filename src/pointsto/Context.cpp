@@ -6,17 +6,23 @@
 
 #include "pointsto/Context.h"
 
+#include <algorithm>
+
 using namespace jackee;
 using namespace jackee::pointsto;
 
 CtxId ContextTable::intern(std::span<const ir::AllocSiteId> Sites) {
-  std::vector<ir::AllocSiteId> Key(Sites.begin(), Sites.end());
-  auto It = Lookup.find(Key);
+  Scratch.assign(Sites.begin(), Sites.end());
+  return internScratch();
+}
+
+CtxId ContextTable::internScratch() {
+  auto It = Lookup.find(Scratch);
   if (It != Lookup.end())
     return CtxId(It->second);
   uint32_t Index = static_cast<uint32_t>(Contexts.size());
-  Contexts.push_back(Key);
-  Lookup.emplace(std::move(Key), Index);
+  Contexts.push_back(Scratch);
+  Lookup.emplace(Scratch, Index);
   return CtxId(Index);
 }
 
@@ -24,12 +30,12 @@ CtxId ContextTable::appendAndTruncate(CtxId Base, ir::AllocSiteId Extra,
                                       uint32_t Limit) {
   if (Limit == 0)
     return empty();
+  // The last Limit - 1 sites of Base, then Extra.
   const std::vector<ir::AllocSiteId> &BaseSeq = elements(Base);
-  std::vector<ir::AllocSiteId> Seq(BaseSeq);
-  Seq.push_back(Extra);
-  if (Seq.size() > Limit)
-    Seq.erase(Seq.begin(), Seq.end() - Limit);
-  return intern(Seq);
+  size_t Keep = std::min<size_t>(BaseSeq.size(), Limit - 1);
+  Scratch.assign(BaseSeq.end() - Keep, BaseSeq.end());
+  Scratch.push_back(Extra);
+  return internScratch();
 }
 
 CtxId ContextTable::truncate(CtxId Base, uint32_t Limit) {
@@ -38,6 +44,6 @@ CtxId ContextTable::truncate(CtxId Base, uint32_t Limit) {
     return Base;
   if (Limit == 0)
     return empty();
-  std::vector<ir::AllocSiteId> Seq(BaseSeq.end() - Limit, BaseSeq.end());
-  return intern(Seq);
+  Scratch.assign(BaseSeq.end() - Limit, BaseSeq.end());
+  return internScratch();
 }

@@ -67,8 +67,15 @@ private:
     }
   };
 
+  /// Interns the contents of `Scratch`, copying them only when they are
+  /// new.
+  CtxId internScratch();
+
   std::vector<std::vector<ir::AllocSiteId>> Contexts;
   std::unordered_map<std::vector<ir::AllocSiteId>, uint32_t, SeqHash> Lookup;
+  /// The candidate context of the lookup under way; reused, so a lookup
+  /// that finds its context allocates nothing.
+  std::vector<ir::AllocSiteId> Scratch;
 };
 
 } // namespace pointsto

@@ -26,22 +26,19 @@ Solver::Solver(const Program &P, SolverConfig Config)
 //===----------------------------------------------------------------------===//
 
 ValueId Solver::internValue(AllocSiteId Site, CtxId HeapCtx) {
-  uint64_t Key = packPair(Site.rawValue(), HeapCtx.rawValue());
-  auto It = ValueLookup.find(Key);
-  if (It != ValueLookup.end())
-    return ValueId(It->second);
-  uint32_t Index = static_cast<uint32_t>(Values.size());
-  Values.push_back({Site, HeapCtx});
-  ValueLookup.emplace(Key, Index);
+  auto [Index, Inserted] =
+      ValueLookup.insert(packPair(Site.rawValue(), HeapCtx.rawValue()),
+                         static_cast<uint32_t>(Values.size()));
+  if (Inserted)
+    Values.push_back({Site, HeapCtx});
   return ValueId(Index);
 }
 
 NodeId Solver::internNode(NodeKind Kind, uint32_t A, uint32_t B) {
-  uint32_t Index = static_cast<uint32_t>(Nodes.size());
-  auto [It, Inserted] = NodeLookup[static_cast<size_t>(Kind)].try_emplace(
-      packPair(A, B), Index);
+  auto [Index, Inserted] = NodeLookup[static_cast<size_t>(Kind)].insert(
+      packPair(A, B), static_cast<uint32_t>(Nodes.size()));
   if (!Inserted)
-    return NodeId(It->second);
+    return NodeId(Index);
   Nodes.push_back({Kind, A, B});
   PointsTo.emplace_back();
   Edges.emplace_back();
@@ -75,13 +72,11 @@ NodeId Solver::catchNode(CMethodId CM) {
 }
 
 CMethodId Solver::internCMethod(MethodId M, CtxId Ctx) {
-  uint64_t Key = packPair(M.rawValue(), Ctx.rawValue());
-  auto It = CMethodLookup.find(Key);
-  if (It != CMethodLookup.end())
-    return CMethodId(It->second);
-  uint32_t Index = static_cast<uint32_t>(CMethods.size());
-  CMethods.push_back({M, Ctx});
-  CMethodLookup.emplace(Key, Index);
+  auto [Index, Inserted] =
+      CMethodLookup.insert(packPair(M.rawValue(), Ctx.rawValue()),
+                           static_cast<uint32_t>(CMethods.size()));
+  if (Inserted)
+    CMethods.push_back({M, Ctx});
   return CMethodId(Index);
 }
 
@@ -179,9 +174,13 @@ void Solver::dispatchCatch(CMethodId CM, ValueId V) {
 //===----------------------------------------------------------------------===//
 
 void Solver::makeReachable(MethodId M, CtxId Ctx) {
-  CMethodId CM = internCMethod(M, Ctx);
+  markReachable(internCMethod(M, Ctx));
+}
+
+void Solver::markReachable(CMethodId CM) {
   if (!ReachableSet.insert(CM.rawValue()))
     return;
+  MethodId M = CMethods[CM.index()].M;
   if (M.index() >= MethodReached.size())
     MethodReached.resize(P.methodCount(), false);
   MethodReached[M.index()] = true;
@@ -194,7 +193,9 @@ void Solver::processBody(CMethodId CM) {
   CtxId Ctx = CMethods[CM.index()].Ctx;
   const Method &M = P.method(MId);
 
-  for (const Statement &S : M.Statements) {
+  for (uint32_t SI = 0, SE = static_cast<uint32_t>(M.Statements.size());
+       SI != SE; ++SI) {
+    const Statement &S = M.Statements[SI];
     switch (S.Op) {
     case Opcode::Alloc:
     case Opcode::StringConst: {
@@ -208,12 +209,12 @@ void Solver::processBody(CMethodId CM) {
     case Opcode::Cast: {
       NodeId SrcNode = varNode(S.Src, Ctx);
       addEdge(SrcNode, varNode(S.Dst, Ctx), S.TypeRef);
-      auto [It, Inserted] =
-          CastIndex.emplace(&S, static_cast<uint32_t>(Casts.size()));
+      auto [Index, Inserted] = CastIndex.insert(
+          packPair(MId.index(), SI), static_cast<uint32_t>(Casts.size()));
       if (Inserted)
         Casts.push_back(
             {S.TypeRef, P.type(M.DeclaringType).IsApplication, {}});
-      Casts[It->second].SourceNodes.push_back(SrcNode);
+      Casts[Index].SourceNodes.push_back(SrcNode);
       break;
     }
     case Opcode::Load:
@@ -266,9 +267,10 @@ void Solver::wireCall(const Statement &S, CtxId CallerCtx, CMethodId CallerCM,
     return;
 
   CMethodId CalleeCM = internCMethod(Callee, CalleeCtx);
-  makeReachable(Callee, CalleeCtx);
+  markReachable(CalleeCM);
   uint64_t CallEdge = packPair(S.Invoke.index(), Callee.index());
-  if (CallEdgeSet.insert(CallEdge).second)
+  if (CallEdgeSet.insert(CallEdge, static_cast<uint32_t>(CallEdges.size()))
+          .second)
     CallEdges.push_back(CallEdge);
 
   if (Receiver.isValid() && CalleeM.This.isValid())
@@ -311,38 +313,19 @@ void Solver::seedObjectField(ValueId Base, FieldId F, ValueId V) {
 }
 
 void Solver::phaseShard(uint32_t ShardIndex) {
-  // Read-only over the frozen solver state: points-to sets, edges,
-  // reactions, values and the program change only in the merge and at the
-  // barrier. Staging is source-shard-local.
+  // Propagation inserts into sets and `Pending` queues only; the edges,
+  // reactions and node tables this loop walks change only at the barrier.
   Shard &S = Shards[ShardIndex];
   for (const WorkItem &Item : S.Current) {
     const uint32_t NIdx = Item.N.index();
     const ValueId V = Item.V;
-    for (const Edge &E : Edges[NIdx]) {
-      if (!passesFilter(V, E.Filter))
-        continue;
-      // Frozen-state dedup: a target that already holds V at the start of
-      // the round gets no staged item. A value that reaches the target
-      // later in the round is caught by the merge's insert.
-      if (PointsTo[E.Target.index()].contains(V.rawValue()))
-        continue;
-      S.StagedProps[shardOf(E.Target)].push_back({E.Target, V});
-    }
+    for (const Edge &E : Edges[NIdx])
+      if (passesFilter(V, E.Filter))
+        propagate(E.Target, V);
     for (const Reaction &R : Reactions[NIdx])
       S.StagedReactions.push_back({R, V});
     if (Nodes[NIdx].Kind == NodeKind::CatchDispatch)
       S.StagedCatches.push_back({CMethodId(Nodes[NIdx].A), V});
-  }
-}
-
-void Solver::mergeShard(uint32_t ShardIndex) {
-  // Applies every staged propagation targeting this shard in canonical
-  // source-shard-major order.
-  for (uint32_t Src = 0; Src != NumShards; ++Src) {
-    std::vector<WorkItem> &Bucket = Shards[Src].StagedProps[ShardIndex];
-    for (const WorkItem &Item : Bucket)
-      propagate(Item.N, Item.V);
-    Bucket.clear();
   }
 }
 
@@ -369,13 +352,11 @@ void Solver::drainWorklist() {
 
     for (uint32_t I = 0; I != NumShards; ++I)
       phaseShard(I);
-    for (uint32_t I = 0; I != NumShards; ++I)
-      mergeShard(I);
 
     // Barrier: apply staged reactions and catch dispatches in canonical
     // shard order. These intern nodes/values/contexts and grow the call
     // graph (`wireCall`, `processBody`), which is exactly the state the
-    // phase freezes.
+    // phase walks.
     for (Shard &S : Shards) {
       for (const StagedReaction &SR : S.StagedReactions) {
         ++SolverStats.ReactionsRun;

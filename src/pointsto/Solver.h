@@ -29,14 +29,14 @@
 /// precision (Section 4 of the paper): the receiver is an internal TreeNode
 /// allocation, so the context no longer distinguishes the map's clients.
 ///
-/// The worklist drain runs in *staged rounds* (DESIGN.md §11): work items
-/// are bucketed into a fixed number of node shards, and each round runs a
-/// propagation phase over every source shard against the frozen state, a
-/// per-target-shard merge in canonical source-shard-major order, and a
-/// barrier that applies reaction firings (call wiring, catch dispatch,
-/// body processing) in canonical shard order. The staging fixes the
-/// propagation order — points-to set insertion orders, call-graph edge
-/// order, `Stats` — and so every output that depends on it.
+/// The worklist drain runs in *rounds* (DESIGN.md §11): work items are
+/// bucketed into a fixed number of node shards, and each round runs a
+/// propagation phase over every shard, which inserts into the target sets
+/// in place and stages reaction firings and catch dispatches, then a
+/// barrier that applies those (call wiring, body processing) in canonical
+/// shard order. The rounds fix the propagation order — points-to set
+/// insertion orders, call-graph edge order, `Stats` — and so every output
+/// that depends on it.
 ///
 /// Plugins (`Plugin::onFixpoint`) run each time the worklist drains and may
 /// inject new facts (entry points, bean injections, getBean seeds); solving
@@ -54,10 +54,9 @@
 #include "observe/Trace.h"
 #include "pointsto/Context.h"
 #include "support/DenseSet.h"
+#include "support/FlatMap.h"
 
 #include <array>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace jackee {
@@ -285,10 +284,11 @@ private:
     CMethodId CallerCM; ///< for call wiring (exception edges)
   };
 
-  // --- Staged worklist (DESIGN.md §11) ------------------------------------
+  // --- Round-based worklist (DESIGN.md §11) -------------------------------
 
-  /// Shard count. The canonical source-shard-major merge and barrier order
-  /// is defined over it, so changing it changes the propagation order.
+  /// Shard count. The order in which a round walks its items and applies
+  /// its barrier is defined over it, so changing it changes the
+  /// propagation order.
   static constexpr uint32_t NumShards = 64;
   static constexpr uint32_t ShardMask = NumShards - 1;
   static uint32_t shardOf(NodeId N) { return N.index() & ShardMask; }
@@ -306,15 +306,12 @@ private:
     ValueId V;
   };
 
-  /// Per-shard drain state. The phase writes only the staging vectors of
-  /// its source shard; the merge only the `Pending` queue and points-to
-  /// entries of its target shard. All cross-shard traffic goes through
-  /// `StagedProps`, bucketed by target shard.
+  /// Per-shard drain state. A node's new values join the `Pending` queue of
+  /// its own shard; reactions and catch dispatches that the phase meets on
+  /// this shard's items wait in the staging vectors until the barrier.
   struct Shard {
     std::vector<WorkItem> Current; ///< items admitted to this round
     std::vector<WorkItem> Pending; ///< items discovered, next round's input
-    /// Propagations staged by the phase, bucketed by `shardOf(target)`.
-    std::array<std::vector<WorkItem>, NumShards> StagedProps;
     std::vector<StagedReaction> StagedReactions;
     std::vector<StagedCatch> StagedCatches;
   };
@@ -328,6 +325,8 @@ private:
   NodeId catchNode(CMethodId CM);
 
   CMethodId internCMethod(ir::MethodId M, CtxId Ctx);
+  /// `makeReachable` for an interned (method, ctx).
+  void markReachable(CMethodId CM);
 
   void propagate(NodeId N, ValueId V);
   void addEdge(NodeId From, NodeId To, ir::TypeId Filter = ir::TypeId::invalid());
@@ -335,12 +334,9 @@ private:
   void applyReaction(const Reaction &R, ValueId V);
   void dispatchCatch(CMethodId CM, ValueId V);
 
-  /// Round step 1: read-only propagation over one source shard's admitted
-  /// items, staging successor work.
+  /// Round step 1: propagates one shard's admitted items along their
+  /// nodes' edges in place, staging reaction firings and catch dispatches.
   void phaseShard(uint32_t ShardIndex);
-  /// Round step 2: merges staged propagations into one target shard's
-  /// points-to sets in canonical source-shard-major order.
-  void mergeShard(uint32_t ShardIndex);
   void drainWorklist();
   bool hasPendingWork() const;
   void publishMetrics();
@@ -365,13 +361,13 @@ private:
     CtxId HeapCtx;
   };
   std::vector<ValueKey> Values;
-  std::unordered_map<uint64_t, uint32_t> ValueLookup;
+  FlatMap ValueLookup;
 
   // Node interning: one exact map per kind, keyed by packPair(A, B).
   static constexpr size_t NumNodeKinds =
       static_cast<size_t>(NodeKind::CatchDispatch) + 1; // the last kind
   std::vector<Node> Nodes;
-  std::array<std::unordered_map<uint64_t, uint32_t>, NumNodeKinds> NodeLookup;
+  std::array<FlatMap, NumNodeKinds> NodeLookup;
 
   // CMethod interning.
   struct CMethod {
@@ -379,7 +375,7 @@ private:
     CtxId Ctx;
   };
   std::vector<CMethod> CMethods;
-  std::unordered_map<uint64_t, uint32_t> CMethodLookup;
+  FlatMap CMethodLookup;
 
   // Per-node state (indexed by NodeId). An edge is unique by (Target,
   // Filter) within its source's vector.
@@ -395,10 +391,11 @@ private:
 
   // packPair(invoke, calleeMethod): not dense ids, so membership is hashed.
   std::vector<uint64_t> CallEdges;
-  std::unordered_set<uint64_t> CallEdgeSet;
+  FlatMap CallEdgeSet;
 
+  // packPair(method, statement position) -> index into `Casts`.
   std::vector<CastRecord> Casts;
-  std::unordered_map<const ir::Statement *, uint32_t> CastIndex;
+  FlatMap CastIndex;
 
   std::vector<Shard> Shards;
 

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Small hash combinators for pairs and tuples of 32-bit ids, used by the
-/// Datalog tuple store and the points-to solver's interning maps.
+/// Datalog tuple store, the points-to context table and the flat tables of
+/// `support/FlatMap.h`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,19 @@ inline size_t hashWords(const uint32_t *Data, size_t Count) {
 /// Packs two 32-bit ids into one 64-bit key; handy for pair-keyed hash maps.
 inline uint64_t packPair(uint32_t A, uint32_t B) {
   return (uint64_t(A) << 32) | uint64_t(B);
+}
+
+/// MurmurHash3's 64-bit finalizer: a bijection under which every input bit
+/// flips every output bit with probability about one half, so keys that
+/// differ only in their high (or only in their low) half spread over a
+/// table's low bits. Chain it, `mix64(Seed ^ Word)`, to hash a run of ids.
+inline uint64_t mix64(uint64_t Key) {
+  Key ^= Key >> 33;
+  Key *= 0xff51afd7ed558ccdULL;
+  Key ^= Key >> 33;
+  Key *= 0xc4ceb9fe1a85ec53ULL;
+  Key ^= Key >> 33;
+  return Key;
 }
 
 } // namespace jackee

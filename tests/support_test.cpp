@@ -6,6 +6,7 @@
 
 #include "support/DenseSet.h"
 #include "support/Env.h"
+#include "support/FlatMap.h"
 #include "support/Hashing.h"
 #include "support/Id.h"
 #include "support/SymbolTable.h"
@@ -14,7 +15,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -207,6 +210,121 @@ TEST(HashingTest, HashWordsDependsOnOrder) {
   uint32_t A[] = {1, 2, 3};
   uint32_t B[] = {3, 2, 1};
   EXPECT_NE(hashWords(A, 3), hashWords(B, 3));
+}
+
+TEST(FlatMapTest, GrowsAcrossManyResizes) {
+  // 16 slots at first, doubling at half load: 100,000 keys take 14 growths.
+  FlatMap Map;
+  std::mt19937_64 Rng(7);
+  std::vector<uint64_t> Keys;
+  std::unordered_set<uint64_t> Seen;
+  while (Keys.size() != 100000) {
+    uint64_t Key = Rng() >> 1; // never the reserved key
+    if (Seen.insert(Key).second)
+      Keys.push_back(Key);
+  }
+  for (uint32_t I = 0; I != Keys.size(); ++I) {
+    auto [Value, Inserted] = Map.insert(Keys[I], I);
+    ASSERT_TRUE(Inserted) << I;
+    ASSERT_EQ(Value, I);
+  }
+  EXPECT_EQ(Map.size(), Keys.size());
+  EXPECT_LE(Map.bytes(), 4 * Keys.size() * 16) << "at most 4 slots per key";
+  for (uint32_t I = 0; I != Keys.size(); ++I) {
+    ASSERT_EQ(Map.find(Keys[I]), I);
+    auto [Value, Inserted] = Map.insert(Keys[I], 0);
+    ASSERT_FALSE(Inserted) << "a present key keeps its first value";
+    ASSERT_EQ(Value, I);
+  }
+  EXPECT_EQ(Map.size(), Keys.size());
+}
+
+TEST(FlatMapTest, KeysSharingAHalf) {
+  // The solver's node kinds produce exactly these shapes: `packPair(A, 0)`
+  // for array, static, throw and catch nodes, and pairs with a small
+  // first half for var and field nodes.
+  FlatMap Map;
+  std::map<uint64_t, uint32_t> Ref;
+  for (uint32_t I = 0; I != 5000; ++I)
+    for (uint64_t Key : {packPair(I, 0), packPair(0, I), packPair(I, I)}) {
+      uint32_t Next = static_cast<uint32_t>(Ref.size());
+      auto [Value, Inserted] = Map.insert(Key, Next);
+      auto [It, RefInserted] = Ref.emplace(Key, Next);
+      ASSERT_EQ(Inserted, RefInserted) << Key;
+      ASSERT_EQ(Value, It->second) << Key;
+    }
+  EXPECT_EQ(Map.size(), Ref.size());
+  for (const auto &[Key, Value] : Ref)
+    ASSERT_EQ(Map.find(Key), Value) << Key;
+}
+
+TEST(FlatMapTest, AbsentKeysAreNotFound) {
+  FlatMap Map;
+  EXPECT_EQ(Map.find(0), std::nullopt);
+  EXPECT_EQ(Map.find(~uint64_t(0)), std::nullopt);
+  for (uint32_t I = 0; I != 1000; ++I)
+    Map.insert(packPair(I, 2 * I), I);
+  for (uint32_t I = 0; I != 1000; ++I) {
+    EXPECT_EQ(Map.find(packPair(I, 2 * I + 1)), std::nullopt) << I;
+    EXPECT_EQ(Map.find(packPair(2 * I + 1, I)), std::nullopt) << I;
+  }
+  EXPECT_EQ(Map.find(~uint64_t(0)), std::nullopt);
+  EXPECT_EQ(Map.size(), 1000u) << "lookups insert nothing";
+}
+
+TEST(FlatMapTest, ReservedEmptyKey) {
+  // An empty slot holds ~0, which is also `packPair` of two invalid ids;
+  // the map still stores it, beside the slot array.
+  const uint64_t Reserved = packPair(~uint32_t(0), ~uint32_t(0));
+  FlatMap Map;
+  EXPECT_EQ(Map.insert(Reserved, 41), std::make_pair(41u, true));
+  EXPECT_EQ(Map.insert(Reserved, 99), std::make_pair(41u, false));
+  EXPECT_EQ(Map.find(Reserved), 41u);
+  EXPECT_EQ(Map.size(), 1u);
+  for (uint32_t I = 0; I != 100; ++I) // grows the slot array several times
+    Map.insert(I, I);
+  EXPECT_EQ(Map.find(Reserved), 41u);
+  EXPECT_EQ(Map.find(0), 0u);
+  EXPECT_EQ(Map.size(), 101u);
+}
+
+TEST(FlatIndexSetTest, CollidingHashesSurviveEraseAndGrowth) {
+  // Keys live outside the set, as a relation's tuples do. A weak hash with
+  // four values, all homed in the last four slots, forces long probe runs
+  // that wrap around the slot array, so erase has to shift members back
+  // across the wrap.
+  std::vector<uint64_t> Keys;
+  std::set<uint64_t> Live;
+  FlatIndexSet Set;
+  auto HashOf = [](uint64_t Key) { return ~static_cast<uint32_t>(Key % 4); };
+  auto Find = [&](uint64_t Key) {
+    return Set.find(HashOf(Key), [&](uint32_t I) { return Keys[I] == Key; });
+  };
+  std::mt19937 Rng(11);
+  for (int Step = 0; Step != 4000; ++Step) {
+    uint64_t Key = Rng() % 300;
+    if (Live.count(Key) && Rng() % 2 == 0) {
+      uint32_t Member = Find(Key);
+      ASSERT_NE(Member, FlatIndexSet::NoIndex) << Key;
+      ASSERT_TRUE(Set.erase(HashOf(Key), Member));
+      ASSERT_FALSE(Set.erase(HashOf(Key), Member)) << "erased twice";
+      Live.erase(Key);
+    } else {
+      uint32_t Index = static_cast<uint32_t>(Keys.size());
+      Keys.push_back(Key);
+      uint32_t Existing = Set.insert(
+          HashOf(Key), Index, [&](uint32_t I) { return Keys[I] == Key; });
+      ASSERT_EQ(Existing == FlatIndexSet::NoIndex, Live.insert(Key).second);
+    }
+    ASSERT_EQ(Set.size(), Live.size());
+  }
+  for (uint64_t Key = 0; Key != 300; ++Key) {
+    uint32_t Member = Find(Key);
+    ASSERT_EQ(Member != FlatIndexSet::NoIndex, Live.count(Key) != 0) << Key;
+    if (Member != FlatIndexSet::NoIndex) {
+      ASSERT_EQ(Keys[Member], Key);
+    }
+  }
 }
 
 TEST(EnvTest, SwitchVarReadsOffOnAndPath) {
