@@ -12,37 +12,28 @@ using namespace jackee;
 using namespace jackee::datalog;
 
 const std::vector<uint32_t> Relation::EmptyPostings;
-thread_local const Symbol *Relation::Probe = nullptr;
-
-size_t Relation::TupleHash::operator()(uint32_t Index) const {
-  const Symbol *T = R->tupleOrProbe(Index);
-  size_t Seed = 0x9e3779b9u;
-  for (uint32_t I = 0; I != R->Arity; ++I)
-    Seed = hashCombine(Seed, T[I].rawValue());
-  return Seed;
-}
-
-bool Relation::TupleEq::operator()(uint32_t Lhs, uint32_t Rhs) const {
-  const Symbol *A = R->tupleOrProbe(Lhs);
-  const Symbol *B = R->tupleOrProbe(Rhs);
-  return std::equal(A, A + R->Arity, B);
-}
+static_assert(Relation::NoTuple == FlatIndexSet::NoIndex,
+              "find() returns the dedup set's absent marker as is");
 
 Relation::Relation(std::string Name, uint32_t Arity)
-    : Name(std::move(Name)), Arity(Arity),
-      Dedup(16, TupleHash{this}, TupleEq{this}) {
+    : Name(std::move(Name)), Arity(Arity) {
   assert(Arity > 0 && "relations must have at least one column");
+}
+
+uint32_t Relation::tupleHash(const Symbol *Tuple) const {
+  uint64_t Hash = Arity;
+  for (uint32_t I = 0; I != Arity; ++I)
+    Hash = mix64(Hash ^ Tuple[I].rawValue());
+  return static_cast<uint32_t>(Hash);
 }
 
 bool Relation::insert(std::span<const Symbol> Tuple) {
   assert(Tuple.size() == Arity && "tuple arity mismatch");
-  Probe = Tuple.data();
-  if (Dedup.find(ProbeIndex) != Dedup.end())
-    return false;
-
   uint32_t NewIndex = size();
+  if (Dedup.insert(tupleHash(Tuple.data()), NewIndex, sameAs(Tuple.data())) !=
+      FlatIndexSet::NoIndex)
+    return false;
   Data.insert(Data.end(), Tuple.begin(), Tuple.end());
-  Dedup.insert(NewIndex);
   for (auto &Idx : Indexes)
     addToIndex(*Idx, NewIndex);
   return true;
@@ -56,27 +47,20 @@ void Relation::bulkLoad(std::span<const Symbol> FlatTuples) {
   Data.reserve(FlatTuples.size());
   Dedup.reserve(Count);
   for (uint32_t I = 0; I != Count; ++I) {
-    uint32_t NewIndex = size();
-    Data.insert(Data.end(), FlatTuples.begin() + size_t(I) * Arity,
-                FlatTuples.begin() + size_t(I + 1) * Arity);
-    if (!Dedup.insert(NewIndex).second)
-      Data.resize(size_t(NewIndex) * Arity); // a repeat: keep the first
+    const Symbol *T = FlatTuples.data() + size_t(I) * Arity;
+    // A repeat keeps the first copy.
+    if (Dedup.insert(tupleHash(T), size(), sameAs(T)) == FlatIndexSet::NoIndex)
+      Data.insert(Data.end(), T, T + Arity);
   }
 }
 
 bool Relation::contains(std::span<const Symbol> Tuple) const {
-  assert(Tuple.size() == Arity && "tuple arity mismatch");
-  // The probe pointer is thread-local scratch state, so concurrent readers
-  // each probe through their own slot.
-  Probe = Tuple.data();
-  return Dedup.find(ProbeIndex) != Dedup.end();
+  return find(Tuple) != NoTuple;
 }
 
 uint32_t Relation::find(std::span<const Symbol> Tuple) const {
   assert(Tuple.size() == Arity && "tuple arity mismatch");
-  Probe = Tuple.data();
-  auto It = Dedup.find(ProbeIndex);
-  return It == Dedup.end() ? NoTuple : *It;
+  return Dedup.find(tupleHash(Tuple.data()), sameAs(Tuple.data()));
 }
 
 void Relation::retract(uint32_t Index) {
@@ -87,29 +71,40 @@ void Relation::retract(uint32_t Index) {
     Dead.resize(size(), false);
   Dead[Index] = true;
   ++DeadCount;
-  // The dedup set hashes/compares through the stored tuple, so erasing by
-  // the stored index finds exactly this element. Index postings keep the
-  // slot; readers skip it via `isLive`.
-  Dedup.erase(Index);
+  // The stored tuple still hashes to its slot. Index postings keep the
+  // tuple; readers skip it via `isLive`.
+  Dedup.erase(tupleHash(tuple(Index)), Index);
 }
 
 uint64_t Relation::keyHashFor(const Index &Idx, const Symbol *Tuple) const {
-  size_t Seed = 0xabcdefu;
+  uint64_t Hash = Idx.Columns.size();
   for (uint32_t Col : Idx.Columns)
-    Seed = hashCombine(Seed, Tuple[Col].rawValue());
-  return Seed;
+    Hash = mix64(Hash ^ Tuple[Col].rawValue());
+  return Hash;
 }
 
 uint64_t Relation::keyHashFor(const Index &,
                               std::span<const Symbol> Key) const {
-  size_t Seed = 0xabcdefu;
+  uint64_t Hash = Key.size();
   for (Symbol S : Key)
-    Seed = hashCombine(Seed, S.rawValue());
-  return Seed;
+    Hash = mix64(Hash ^ S.rawValue());
+  return Hash;
 }
 
 void Relation::addToIndex(Index &Idx, uint32_t TupleIndex) {
-  Idx.Postings[keyHashFor(Idx, tuple(TupleIndex))].push_back(TupleIndex);
+  const Symbol *T = tuple(TupleIndex);
+  std::vector<uint32_t> &Group = Idx.Postings[keyHashFor(Idx, T)];
+  // A key is new unless a tuple already in its group has equal key
+  // columns; the scan stops at the group's first tuple unless two keys
+  // share the 64-bit hash.
+  auto SameKey = [&](uint32_t Other) {
+    const Symbol *O = tuple(Other);
+    return std::all_of(Idx.Columns.begin(), Idx.Columns.end(),
+                       [&](uint32_t Col) { return O[Col] == T[Col]; });
+  };
+  if (std::none_of(Group.begin(), Group.end(), SameKey))
+    ++Idx.DistinctKeys;
+  Group.push_back(TupleIndex);
 }
 
 Relation::Index *Relation::findIndex(std::span<const uint32_t> Columns) const {
@@ -152,7 +147,7 @@ Relation::lookup(std::span<const uint32_t> Columns,
 
 uint32_t Relation::distinctKeys(std::span<const uint32_t> Columns) const {
   const Index *Found = findIndex(Columns);
-  return Found ? static_cast<uint32_t>(Found->Postings.size()) : 0;
+  return Found ? Found->DistinctKeys : 0;
 }
 
 std::vector<Relation::IndexStats> Relation::indexStats() const {
@@ -161,7 +156,7 @@ std::vector<Relation::IndexStats> Relation::indexStats() const {
   for (const auto &Idx : Indexes) {
     IndexStats &S = Stats.emplace_back();
     S.Columns = Idx->Columns;
-    S.DistinctKeys = static_cast<uint32_t>(Idx->Postings.size());
+    S.DistinctKeys = Idx->DistinctKeys;
     S.Bytes = sizeof(Index) + Idx->Columns.capacity() * sizeof(uint32_t) +
               Idx->Postings.bucket_count() * sizeof(void *);
     for (const auto &[Hash, Postings] : Idx->Postings)
@@ -182,9 +177,7 @@ size_t Relation::indexBytes() const {
 }
 
 size_t Relation::bytes() const {
-  return Data.capacity() * sizeof(Symbol) +
-         Dedup.bucket_count() * sizeof(void *) +
-         Dedup.size() * (sizeof(uint32_t) + sizeof(void *)) + indexBytes();
+  return Data.capacity() * sizeof(Symbol) + Dedup.bytes() + indexBytes();
 }
 
 RelationId Database::declare(std::string_view Name, uint32_t Arity) {

@@ -17,15 +17,15 @@
 #ifndef JACKEE_DATALOG_DATABASE_H
 #define JACKEE_DATALOG_DATABASE_H
 
-#include "support/Hashing.h"
+#include "support/FlatMap.h"
 #include "support/Id.h"
 #include "support/SymbolTable.h"
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace jackee {
@@ -80,9 +80,9 @@ public:
 
   /// \returns true if \p Tuple is present.
   ///
-  /// Thread-safe against concurrent `contains`/`tuple` readers (the probe
-  /// scratch state is thread-local); must not run concurrently with
-  /// `insert`/`lookup`/`ensureIndex`.
+  /// Read-only, so safe against concurrent `contains`/`find`/`tuple`
+  /// readers; must not run concurrently with `insert`/`lookup`/
+  /// `ensureIndex`.
   bool contains(std::span<const Symbol> Tuple) const;
 
   /// Sentinel returned by `find` for absent tuples.
@@ -130,16 +130,17 @@ public:
   /// Builds the index over \p Columns now if it does not exist yet.
   void ensureIndex(std::span<const uint32_t> Columns);
 
-  /// Exact distinct-key count of the index over \p Columns (its postings
-  /// group count), or 0 when no such index has been built. The join
-  /// planner's cost model uses this to sharpen `size / distinct-keys`
-  /// fanout estimates; 0 tells it to fall back to a selectivity heuristic.
+  /// Exact number of distinct keys (values of \p Columns) among the stored
+  /// tuples, tombstoned ones included, kept by the index over \p Columns;
+  /// 0 when no such index has been built. The join planner's cost model
+  /// uses this to sharpen `size / distinct-keys` fanout estimates; 0 tells
+  /// it to fall back to a selectivity heuristic.
   uint32_t distinctKeys(std::span<const uint32_t> Columns) const;
 
   /// Per-index statistics snapshot, for metrics and planner introspection.
   struct IndexStats {
     std::vector<uint32_t> Columns; ///< indexed column positions
-    uint32_t DistinctKeys = 0;     ///< postings groups
+    uint32_t DistinctKeys = 0;     ///< as `distinctKeys(Columns)`
     size_t Bytes = 0;              ///< heap bytes of this index
   };
   std::vector<IndexStats> indexStats() const;
@@ -156,9 +157,12 @@ public:
   size_t bytes() const;
 
 private:
+  /// Postings grouped by a `mix64` hash of the key columns. A group almost
+  /// always holds one key; `DistinctKeys` counts keys, not groups.
   struct Index {
     std::vector<uint32_t> Columns;
     std::unordered_map<uint64_t, std::vector<uint32_t>> Postings;
+    uint32_t DistinctKeys = 0;
   };
 
   uint64_t keyHashFor(const Index &Idx, const Symbol *Tuple) const;
@@ -166,28 +170,19 @@ private:
   void addToIndex(Index &Idx, uint32_t TupleIndex);
   Index *findIndex(std::span<const uint32_t> Columns) const;
 
-  // Dedup set over tuple indexes; the sentinel `ProbeIndex` refers to the
-  // candidate tuple in `Probe` so that membership of a not-yet-stored tuple
-  // can be tested without copying it into the store. The probe slot is
-  // thread-local so concurrent readers never race on it.
-  static constexpr uint32_t ProbeIndex = ~uint32_t(0);
-  struct TupleHash {
-    const Relation *R;
-    size_t operator()(uint32_t Index) const;
-  };
-  struct TupleEq {
-    const Relation *R;
-    bool operator()(uint32_t Lhs, uint32_t Rhs) const;
-  };
-  const Symbol *tupleOrProbe(uint32_t Index) const {
-    return Index == ProbeIndex ? Probe : tuple(Index);
+  /// The dedup set's hash of the `Arity` symbols at \p Tuple.
+  uint32_t tupleHash(const Symbol *Tuple) const;
+  /// The dedup set's equality test: does stored tuple `I` equal \p Tuple?
+  auto sameAs(const Symbol *Tuple) const {
+    return [this, Tuple](uint32_t I) {
+      return std::equal(Tuple, Tuple + Arity, tuple(I));
+    };
   }
 
   std::string Name;
   uint32_t Arity;
   std::vector<Symbol> Data;
-  static thread_local const Symbol *Probe;
-  std::unordered_set<uint32_t, TupleHash, TupleEq> Dedup;
+  FlatIndexSet Dedup; ///< live tuples' indexes, hashed by content
   std::vector<std::unique_ptr<Index>> Indexes;
   std::vector<bool> Dead; ///< tombstones; lazily sized, empty until the
                           ///< first `retract`

@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <functional>
 #include <random>
@@ -661,6 +662,24 @@ TEST(EvaluatorStats, StatsAccumulateMonotonicallyAcrossRuns) {
   Evaluator::Stats Third = Eval.stats();
   check(Second, Third);
   EXPECT_GT(Third.TuplesDerived, Second.TuplesDerived);
+}
+
+TEST(RelationStats, DistinctKeysAreExact) {
+  // Symbol ids 0-199 in both key columns. A boost-style hash combine of
+  // the ids merged these 40,000 keys into 13,390 postings groups.
+  SymbolTable Symbols;
+  Database DB(Symbols);
+  Relation &R = DB.relation(DB.declare("grid", 3));
+  std::vector<uint32_t> Cols01 = {0, 1}, Cols12 = {1, 2};
+  R.ensureIndex(Cols01); // kept current by the inserts below
+  for (uint32_t A = 0; A != 200; ++A)
+    for (uint32_t B = 0; B != 200; ++B)
+      for (uint32_t C = 0; C != 2; ++C)
+        R.insert(std::array{Symbol(A), Symbol(B), Symbol(C)});
+  R.ensureIndex(Cols12); // built over the stored tuples
+  EXPECT_EQ(R.size(), 80000u);
+  EXPECT_EQ(R.distinctKeys(Cols01), 40000u);
+  EXPECT_EQ(R.distinctKeys(Cols12), 400u);
 }
 
 TEST(RelationStats, BytesCountIndexes) {

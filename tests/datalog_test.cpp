@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <random>
+
 using namespace jackee;
 using namespace jackee::datalog;
 
@@ -61,6 +65,47 @@ TEST_F(DatalogTest, BulkLoadDropsRepeatedTuples) {
   EXPECT_TRUE(DB.containsFact("edge", {"b", "a"}));
   EXPECT_TRUE(DB.insertFact("edge", {"c", "d"}));
   EXPECT_EQ(DB.relation(R).size(), 3u);
+}
+
+TEST_F(DatalogTest, DedupSurvivesRetractReinsertAndGrowth) {
+  // Interleaves inserts, retracts and re-inserts of 6,400 possible tuples
+  // while the dedup set grows through many resizes, against a reference
+  // map of the live tuples to their dense indexes.
+  Relation &R = DB.relation(DB.declare("r", 3));
+  using Key = std::array<Symbol, 3>;
+  std::map<Key, uint32_t> Live;
+  std::mt19937 Rng(5);
+  auto Pick = [&Rng] {
+    return Key{Symbol(Rng() % 40), Symbol(Rng() % 40), Symbol(Rng() % 4)};
+  };
+  for (int Step = 0; Step != 30000; ++Step) {
+    Key T = Pick();
+    auto It = Live.find(T);
+    if (It != Live.end() && Rng() % 3 == 0) {
+      ASSERT_EQ(R.find(T), It->second);
+      R.retract(It->second);
+      ASSERT_FALSE(R.contains(T));
+      ASSERT_FALSE(R.isLive(It->second));
+      Live.erase(It);
+      continue;
+    }
+    uint32_t Before = R.size();
+    ASSERT_EQ(R.insert(T), It == Live.end()) << Step;
+    if (It == Live.end()) {
+      // New or re-inserted after a retract: appended at a fresh index.
+      ASSERT_EQ(R.find(T), Before);
+      Live.emplace(T, Before);
+    }
+    ASSERT_EQ(R.liveSize(), Live.size());
+  }
+  EXPECT_GT(R.deadCount(), 1000u);
+  for (uint32_t A = 0; A != 40; ++A)
+    for (uint32_t B = 0; B != 40; ++B)
+      for (uint32_t C = 0; C != 4; ++C) {
+        Key T{Symbol(A), Symbol(B), Symbol(C)};
+        auto It = Live.find(T);
+        ASSERT_EQ(R.find(T), It == Live.end() ? Relation::NoTuple : It->second);
+      }
 }
 
 TEST_F(DatalogTest, DeclareIsIdempotent) {
