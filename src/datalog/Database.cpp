@@ -15,22 +15,35 @@ const std::vector<uint32_t> Relation::EmptyPostings;
 static_assert(Relation::NoTuple == FlatIndexSet::NoIndex,
               "find() returns the dedup set's absent marker as is");
 
+namespace {
+
+/// The dedup set's hash of the `R.arity()` symbols at \p Tuple.
+uint32_t tupleHash(const Relation &R, const Symbol *Tuple) {
+  uint64_t Hash = R.arity();
+  for (uint32_t I = 0; I != R.arity(); ++I)
+    Hash = mix64(Hash ^ Tuple[I].rawValue());
+  return static_cast<uint32_t>(Hash);
+}
+
+/// The dedup set's equality test: does stored tuple `I` equal \p Tuple?
+auto sameAs(const Relation &R, const Symbol *Tuple) {
+  return [&R, Tuple](uint32_t I) {
+    return std::equal(Tuple, Tuple + R.arity(), R.tuple(I));
+  };
+}
+
+} // namespace
+
 Relation::Relation(std::string Name, uint32_t Arity)
     : Name(std::move(Name)), Arity(Arity) {
   assert(Arity > 0 && "relations must have at least one column");
 }
 
-uint32_t Relation::tupleHash(const Symbol *Tuple) const {
-  uint64_t Hash = Arity;
-  for (uint32_t I = 0; I != Arity; ++I)
-    Hash = mix64(Hash ^ Tuple[I].rawValue());
-  return static_cast<uint32_t>(Hash);
-}
-
 bool Relation::insert(std::span<const Symbol> Tuple) {
   assert(Tuple.size() == Arity && "tuple arity mismatch");
+  const Symbol *T = Tuple.data();
   uint32_t NewIndex = size();
-  if (Dedup.insert(tupleHash(Tuple.data()), NewIndex, sameAs(Tuple.data())) !=
+  if (Dedup.insert(tupleHash(*this, T), NewIndex, sameAs(*this, T)) !=
       FlatIndexSet::NoIndex)
     return false;
   Data.insert(Data.end(), Tuple.begin(), Tuple.end());
@@ -49,7 +62,8 @@ void Relation::bulkLoad(std::span<const Symbol> FlatTuples) {
   for (uint32_t I = 0; I != Count; ++I) {
     const Symbol *T = FlatTuples.data() + size_t(I) * Arity;
     // A repeat keeps the first copy.
-    if (Dedup.insert(tupleHash(T), size(), sameAs(T)) == FlatIndexSet::NoIndex)
+    if (Dedup.insert(tupleHash(*this, T), size(), sameAs(*this, T)) ==
+        FlatIndexSet::NoIndex)
       Data.insert(Data.end(), T, T + Arity);
   }
 }
@@ -60,7 +74,8 @@ bool Relation::contains(std::span<const Symbol> Tuple) const {
 
 uint32_t Relation::find(std::span<const Symbol> Tuple) const {
   assert(Tuple.size() == Arity && "tuple arity mismatch");
-  return Dedup.find(tupleHash(Tuple.data()), sameAs(Tuple.data()));
+  return Dedup.find(tupleHash(*this, Tuple.data()),
+                    sameAs(*this, Tuple.data()));
 }
 
 void Relation::retract(uint32_t Index) {
@@ -73,30 +88,45 @@ void Relation::retract(uint32_t Index) {
   ++DeadCount;
   // The stored tuple still hashes to its slot. Index postings keep the
   // tuple; readers skip it via `isLive`.
-  Dedup.erase(tupleHash(tuple(Index)), Index);
+  Dedup.erase(tupleHash(*this, tuple(Index)), Index);
 }
 
-uint64_t Relation::keyHashFor(const Index &Idx, const Symbol *Tuple) const {
-  uint64_t Hash = Idx.Columns.size();
-  for (uint32_t Col : Idx.Columns)
-    Hash = mix64(Hash ^ Tuple[Col].rawValue());
+namespace {
+
+/// The postings key of a key-column run. One or two ids pack exactly, so
+/// no two keys share a group and nearby ids stay nearby in the map; longer
+/// keys chain `mix64`.
+template <typename ColumnFn>
+uint64_t postingsKey(size_t Columns, ColumnFn &&Column) {
+  if (Columns == 1)
+    return Column(0);
+  if (Columns == 2)
+    return packPair(Column(0), Column(1));
+  uint64_t Hash = Columns;
+  for (size_t I = 0; I != Columns; ++I)
+    Hash = mix64(Hash ^ Column(I));
   return Hash;
+}
+
+} // namespace
+
+uint64_t Relation::keyHashFor(const Index &Idx, const Symbol *Tuple) const {
+  return postingsKey(Idx.Columns.size(), [&](size_t I) {
+    return Tuple[Idx.Columns[I]].rawValue();
+  });
 }
 
 uint64_t Relation::keyHashFor(const Index &,
                               std::span<const Symbol> Key) const {
-  uint64_t Hash = Key.size();
-  for (Symbol S : Key)
-    Hash = mix64(Hash ^ S.rawValue());
-  return Hash;
+  return postingsKey(Key.size(), [&](size_t I) { return Key[I].rawValue(); });
 }
 
 void Relation::addToIndex(Index &Idx, uint32_t TupleIndex) {
   const Symbol *T = tuple(TupleIndex);
   std::vector<uint32_t> &Group = Idx.Postings[keyHashFor(Idx, T)];
   // A key is new unless a tuple already in its group has equal key
-  // columns; the scan stops at the group's first tuple unless two keys
-  // share the 64-bit hash.
+  // columns; the scan stops at the group's first tuple unless two long
+  // keys share their 64-bit hash.
   auto SameKey = [&](uint32_t Other) {
     const Symbol *O = tuple(Other);
     return std::all_of(Idx.Columns.begin(), Idx.Columns.end(),

@@ -21,7 +21,6 @@
 #include "support/Id.h"
 #include "support/SymbolTable.h"
 
-#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -157,7 +156,8 @@ public:
   size_t bytes() const;
 
 private:
-  /// Postings grouped by a `mix64` hash of the key columns. A group almost
+  /// Postings grouped by the key columns: by the ids themselves for keys of
+  /// one or two columns, by a `mix64` chain for longer keys. A group almost
   /// always holds one key; `DistinctKeys` counts keys, not groups.
   struct Index {
     std::vector<uint32_t> Columns;
@@ -169,15 +169,6 @@ private:
   uint64_t keyHashFor(const Index &Idx, std::span<const Symbol> Key) const;
   void addToIndex(Index &Idx, uint32_t TupleIndex);
   Index *findIndex(std::span<const uint32_t> Columns) const;
-
-  /// The dedup set's hash of the `Arity` symbols at \p Tuple.
-  uint32_t tupleHash(const Symbol *Tuple) const;
-  /// The dedup set's equality test: does stored tuple `I` equal \p Tuple?
-  auto sameAs(const Symbol *Tuple) const {
-    return [this, Tuple](uint32_t I) {
-      return std::equal(Tuple, Tuple + Arity, tuple(I));
-    };
-  }
 
   std::string Name;
   uint32_t Arity;

@@ -670,16 +670,19 @@ TEST(RelationStats, DistinctKeysAreExact) {
   SymbolTable Symbols;
   Database DB(Symbols);
   Relation &R = DB.relation(DB.declare("grid", 3));
-  std::vector<uint32_t> Cols01 = {0, 1}, Cols12 = {1, 2};
+  std::vector<uint32_t> Cols01 = {0, 1}, Cols12 = {1, 2},
+                        Cols012 = {0, 1, 2};
   R.ensureIndex(Cols01); // kept current by the inserts below
   for (uint32_t A = 0; A != 200; ++A)
     for (uint32_t B = 0; B != 200; ++B)
       for (uint32_t C = 0; C != 2; ++C)
         R.insert(std::array{Symbol(A), Symbol(B), Symbol(C)});
-  R.ensureIndex(Cols12); // built over the stored tuples
+  R.ensureIndex(Cols12);  // built over the stored tuples
+  R.ensureIndex(Cols012); // a key long enough to be hashed
   EXPECT_EQ(R.size(), 80000u);
   EXPECT_EQ(R.distinctKeys(Cols01), 40000u);
   EXPECT_EQ(R.distinctKeys(Cols12), 400u);
+  EXPECT_EQ(R.distinctKeys(Cols012), 80000u);
 }
 
 TEST(RelationStats, BytesCountIndexes) {
