@@ -32,6 +32,21 @@ auto sameAs(const Relation &R, const Symbol *Tuple) {
   };
 }
 
+/// The postings key of a key-column run. One or two ids pack exactly, so
+/// no two keys share a group and nearby ids stay nearby in the map; longer
+/// keys chain `mix64`.
+template <typename ColumnFn>
+uint64_t postingsKey(size_t Columns, ColumnFn &&Column) {
+  if (Columns == 1)
+    return Column(0);
+  if (Columns == 2)
+    return packPair(Column(0), Column(1));
+  uint64_t Hash = Columns;
+  for (size_t I = 0; I != Columns; ++I)
+    Hash = mix64(Hash ^ Column(I));
+  return Hash;
+}
+
 } // namespace
 
 Relation::Relation(std::string Name, uint32_t Arity)
@@ -90,25 +105,6 @@ void Relation::retract(uint32_t Index) {
   // tuple; readers skip it via `isLive`.
   Dedup.erase(tupleHash(*this, tuple(Index)), Index);
 }
-
-namespace {
-
-/// The postings key of a key-column run. One or two ids pack exactly, so
-/// no two keys share a group and nearby ids stay nearby in the map; longer
-/// keys chain `mix64`.
-template <typename ColumnFn>
-uint64_t postingsKey(size_t Columns, ColumnFn &&Column) {
-  if (Columns == 1)
-    return Column(0);
-  if (Columns == 2)
-    return packPair(Column(0), Column(1));
-  uint64_t Hash = Columns;
-  for (size_t I = 0; I != Columns; ++I)
-    Hash = mix64(Hash ^ Column(I));
-  return Hash;
-}
-
-} // namespace
 
 uint64_t Relation::keyHashFor(const Index &Idx, const Symbol *Tuple) const {
   return postingsKey(Idx.Columns.size(), [&](size_t I) {
