@@ -3,11 +3,11 @@
 // Part of JackEE-CPP (PLDI'20 "Frameworks and Caches" reproduction).
 //
 // Measures the point of the snapshot store (DESIGN.md §13): cold-starting a
-// base program by mapping the AOT store must beat running the builders —
+// base program by reading the AOT store must beat running the builders —
 // the Java-library model, framework stubs, finalization, and base-fact
 // extraction — by a wide margin, for every collection model. The store is
 // written once into a temp directory at startup, so the load benchmark
-// exercises exactly the `AnalysisSession` cold-start path: map, validate,
+// exercises exactly the `AnalysisSession` cold-start path: read, validate,
 // decode.
 //
 // Besides the google-benchmark timings, `main` asserts a >= 5x min-of-N

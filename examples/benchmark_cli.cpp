@@ -78,18 +78,12 @@ int usage() {
               "  --jobs=N               matrix workers "
               "(default: JACKEE_JOBS or hardware) —\n"
               "                         results are bit-identical at any N\n"
-              "  --plan=MODE            Datalog join planning: 'greedy' "
-              "(cost-guided,\n"
-              "                         the default) or 'textual' (body "
-              "order) — results are\n"
-              "                         bit-identical; also via "
-              "JACKEE_PLAN\n"
               "  --snapshot-save=DIR    serialize the base program of every "
               "collection model\n"
               "                         the requested analyses use (all "
               "three when none are\n"
               "                         given) into DIR and exit — the "
-              "mmap-able AOT store\n"
+              "AOT store\n"
               "  --snapshot-dir=DIR     cold-start base programs from the "
               "store in DIR instead\n"
               "                         of running the builders (also via "
@@ -119,7 +113,7 @@ int usage() {
               "scripts/profile_report.py\n"
               "  --profile-text=FILE    write the deterministic text "
               "reports (bit-identical\n"
-              "                         at any --jobs/--plan — for CI "
+              "                         at any --jobs — for CI "
               "byte-diffs)\n"
               "  --explain=QUERY        run ONE (benchmark, analysis) cell "
               "with provenance\n"
@@ -482,11 +476,6 @@ int main(int Argc, char **Argv) {
         return usage();
       }
       Options.Jobs = static_cast<unsigned>(N);
-    } else if (std::strncmp(Argv[I], "--plan=", 7) == 0) {
-      if (!datalog::parsePlanMode(Argv[I] + 7, Options.Plan)) {
-        std::printf("error: --plan must be 'textual' or 'greedy'\n\n");
-        return usage();
-      }
     } else if (std::strncmp(Argv[I], "--snapshot-save=", 16) == 0) {
       SnapshotSaveDir = Argv[I] + 16;
     } else if (std::strncmp(Argv[I], "--snapshot-dir=", 15) == 0) {
@@ -649,7 +638,7 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(CS.SnapshotBuilds),
               CS.BuildSeconds);
   if (CS.SnapshotLoads)
-    std::printf("store: %llu mapped (%.3fs, %llu bytes)\n",
+    std::printf("store: %llu read (%.3fs, %llu bytes)\n",
                 static_cast<unsigned long long>(CS.SnapshotLoads),
                 CS.LoadSeconds, static_cast<unsigned long long>(CS.StoreBytes));
 
@@ -664,7 +653,7 @@ int main(int Argc, char **Argv) {
 
   if (ProfileStdout || !ProfileTextPath.empty() || !ProfileJsonPath.empty()) {
     // Row order is deterministic (app-major), so the concatenated text
-    // report byte-diffs across the thread/jobs/plan grid.
+    // report byte-diffs across job counts.
     std::string Text;
     size_t ProfileCount = 0;
     for (const Metrics &M : Rows)

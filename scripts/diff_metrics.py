@@ -2,8 +2,8 @@
 """Semantic diff of two benchmark_cli --benchmark_out JSON files.
 
 The determinism contract (DESIGN.md §7, §10) says every analysis answer is
-bit-identical at any JACKEE_JOBS / JACKEE_PLAN setting — only wall-clock,
-RSS, and scheduling observables may differ. This script enforces exactly
+bit-identical at any JACKEE_JOBS setting — only wall-clock, RSS, and
+scheduling observables may differ. This script enforces exactly
 that split: it compares the two files' benchmark entries field by field,
 ignoring the volatile fields, and exits non-zero on any semantic mismatch.
 

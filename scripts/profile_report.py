@@ -4,16 +4,15 @@
 The deep profiler's determinism contract (DESIGN.md §14) splits every
 profile field in two:
 
- - *deterministic* fields (rule passes/rounds/derivations/matches, relation
-   tuple/live/dead counts and exact payload bytes, the entire points-to
-   census, phase names and order) are bit-identical at any job count and
-   join-plan mode — this script compares them exactly and any mismatch is a
-   hard failure (exit 1);
- - *volatile* fields (wall seconds, RSS, capacity-derived `*_approx` bytes,
-   and the plan-dependent `tuples_considered` / `estimated_fanout` planner
-   numbers) are compared against a relative threshold and only produce
-   WARN lines — timing noise must not fail CI, but a big swing should be
-   visible in the log.
+ - *deterministic* fields (rule passes/rounds/derivations/matches, tuples
+   considered and estimated fanout, relation tuple/live/dead counts, exact
+   payload bytes and the capacity-derived `*_approx` footprints, the entire
+   points-to census, phase names and order) are bit-identical at any job
+   count — this script compares them exactly and any mismatch is a hard
+   failure (exit 1);
+ - *volatile* fields (wall seconds and RSS) are compared against a
+   relative threshold and only produce WARN lines — timing noise must not
+   fail CI, but a big swing should be visible in the log.
 
 Usage: profile_report.py BASELINE.json CURRENT.json [--threshold=0.5]
 
@@ -28,13 +27,7 @@ import sys
 
 # Keys matching any of these substrings are volatile: thresholded, never
 # exact-compared. Mirrors the field classification in observe/Profile.h.
-VOLATILE_SUBSTRINGS = (
-    "seconds",
-    "rss",
-    "_approx",
-    "estimated_fanout",
-    "tuples_considered",
-)
+VOLATILE_SUBSTRINGS = ("seconds", "rss")
 
 
 def is_volatile(key: str) -> bool:

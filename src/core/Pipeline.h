@@ -175,6 +175,17 @@ struct Metrics {
   }
 };
 
+} // namespace core
+
+namespace datalog {
+/// Unused: the Datalog engine has one join planner. The one-value enum
+/// stays only because the end-to-end benchmark driver
+/// (perfbench/driver.cpp) assigns `EngineOptions::Plan`.
+enum class PlanMode : uint8_t { Greedy };
+} // namespace datalog
+
+namespace core {
+
 /// Cross-cutting engine knobs (as opposed to per-analysis configuration),
 /// shared by the one-shot `runAnalysis` wrapper and `SessionOptions` (which
 /// inherits them). Environment-variable fallbacks follow one precedence
@@ -185,10 +196,10 @@ struct EngineOptions {
   /// the end-to-end benchmark driver (perfbench/driver.cpp) assigns it.
   unsigned DatalogThreads = 0;
 
-  /// Join-plan mode for Datalog rule evaluation (see `datalog::PlanMode`).
-  /// `Auto` resolves `JACKEE_PLAN`, defaulting to the greedy cost-guided
-  /// planner; results are bit-identical in either mode.
-  datalog::PlanMode Plan = datalog::PlanMode::Auto;
+  /// Unused: Datalog evaluation has one join planner. The field stays only
+  /// because the end-to-end benchmark driver (perfbench/driver.cpp)
+  /// assigns it.
+  datalog::PlanMode Plan = datalog::PlanMode::Greedy;
 
   /// Unused: the points-to solver is sequential. The field stays only
   /// because the end-to-end benchmark driver (perfbench/driver.cpp)
@@ -197,7 +208,7 @@ struct EngineOptions {
 
   /// Directory of an AOT snapshot store written by `benchmark_cli
   /// --snapshot-save=DIR` (src/snapshot/, DESIGN.md §13). When non-empty,
-  /// base programs are mapped read-only from the store instead of running
+  /// base programs are read from the store instead of running
   /// the library builders; a file that is missing or fails validation
   /// falls back to the builders with a stderr warning. Empty resolves the
   /// `JACKEE_SNAPSHOT_DIR` environment variable; when that is unset too,

@@ -197,9 +197,9 @@ AnalysisCell::buildProfile(const Metrics &M) {
   }
 
   // Relation storage accounting, in relation-id (declaration) order.
-  // DataBytes is exact payload (tuples x arity x symbol width) and thus
-  // deterministic; the capacity/index figures vary with plan mode and are
-  // marked *_approx so the diff tooling thresholds them.
+  // DataBytes is exact payload (tuples x arity x symbol width); the
+  // *_approx figures are capacity-derived footprints, deterministic
+  // because the insertion order and the lazily built indexes are.
   P->Relations.reserve(DB->relationCount());
   for (size_t I = 0; I != DB->relationCount(); ++I) {
     const datalog::Relation &R =
@@ -347,6 +347,25 @@ std::string AnalysisCell::canonicalDigest() const {
   return Out;
 }
 
+std::optional<AnalysisError> AnalysisCell::startSolver() {
+  Solver_ = std::make_unique<Solver>(*Prog, solverConfig(Kind));
+  Solver_->setTracer(Trace);
+  Solver_->setMetricsRegistry(Registry.get());
+  Solver_->addPlugin(FM.get());
+  if (MainClass.empty())
+    return std::nullopt;
+  TypeId MainTy = Prog->findType(MainClass);
+  if (!MainTy.isValid())
+    return AnalysisError{AnalysisErrorKind::MainClassNotFound,
+                         "main class '" + MainClass + "' not found"};
+  MethodId Main = Prog->findMethod(MainTy, "main", {});
+  if (!Main.isValid())
+    return AnalysisError{AnalysisErrorKind::MainMethodNotFound,
+                         "no main() on '" + MainClass + "'"};
+  Solver_->makeReachable(Main, Solver_->contexts().empty());
+  return std::nullopt;
+}
+
 AnalysisResult AnalysisCell::update(const CellDelta &Delta) {
   Program &P = *Prog;
   frameworks::FrameworkManager &FMRef = *FM;
@@ -366,16 +385,35 @@ AnalysisResult AnalysisCell::update(const CellDelta &Delta) {
   if (Delta.empty())
     return Current;
 
-  // --- Validate every name before mutating anything, so the common
-  // errors (typos, double retractions) leave the cell untouched — and
-  // uncounted by `updateCount()`.
-  for (const std::string &Name : Delta.RetractClasses)
-    if (!P.findType(Name).isValid())
+  // --- Validate the whole delta before mutating anything, so a rejected
+  // delta leaves the cell untouched — and uncounted by `updateCount()`.
+  // Each retraction must apply to the program as the delta's earlier
+  // entries leave it, because that is the order step 2 below applies them.
+  std::vector<TypeId> DeadClasses;
+  for (const std::string &Name : Delta.RetractClasses) {
+    TypeId T = P.findType(Name);
+    if (!T.isValid())
       return Invalid("retract of unknown class '" + Name + "'");
-  for (const auto &[Cls, MethName] : Delta.RetractMethods) {
+    if (std::find(DeadClasses.begin(), DeadClasses.end(), T) !=
+        DeadClasses.end())
+      return Invalid("class '" + Name + "' is retracted twice");
+    if (std::string Err = P.retractBlocker(T, DeadClasses); !Err.empty())
+      return Invalid(Err);
+    DeadClasses.push_back(T);
+  }
+  for (auto It = Delta.RetractMethods.begin();
+       It != Delta.RetractMethods.end(); ++It) {
+    const auto &[Cls, MethName] = *It;
     TypeId T = P.findType(Cls);
     if (!T.isValid())
       return Invalid("retract of method on unknown class '" + Cls + "'");
+    if (std::find(DeadClasses.begin(), DeadClasses.end(), T) !=
+        DeadClasses.end())
+      return Invalid("retract of method '" + MethName + "' on '" + Cls +
+                     "', a class this delta retracts");
+    if (std::find(Delta.RetractMethods.begin(), It, *It) != It)
+      return Invalid("method '" + MethName + "' on '" + Cls +
+                     "' is retracted twice");
     bool AnyLive = false;
     for (MethodId MId : P.type(T).Methods)
       AnyLive |= !P.method(MId).IsRetracted &&
@@ -383,9 +421,13 @@ AnalysisResult AnalysisCell::update(const CellDelta &Delta) {
     if (!AnyLive)
       return Invalid("no live method '" + MethName + "' on '" + Cls + "'");
   }
-  for (const std::string &File : Delta.RetractConfigs)
-    if (!FMRef.hasConfigXml(File))
-      return Invalid("retract of unregistered config '" + File + "'");
+  for (auto It = Delta.RetractConfigs.begin();
+       It != Delta.RetractConfigs.end(); ++It) {
+    if (!FMRef.hasConfigXml(*It))
+      return Invalid("retract of unregistered config '" + *It + "'");
+    if (std::find(Delta.RetractConfigs.begin(), It, *It) != It)
+      return Invalid("config '" + *It + "' is retracted twice");
+  }
   std::vector<std::pair<std::string, xml::Document>> NewDocs;
   for (const auto &[Name, Text] : Delta.AddConfigs) {
     xml::ParseResult PR = xml::Parser::parse(Text);
@@ -545,22 +587,9 @@ AnalysisResult AnalysisCell::update(const CellDelta &Delta) {
     //    glue — its cross-round progress forgotten — re-exercises entry
     //    points and re-applies injections from scratch.
     FMRef.resetForResolve();
-    Solver_ = std::make_unique<Solver>(P, solverConfig(Kind));
-    Solver_->setTracer(Trace);
-    Solver_->setMetricsRegistry(Registry.get());
-    Solver_->addPlugin(&FMRef);
     SolveStart = Clock::now();
-    if (!MainClass.empty()) {
-      TypeId MainTy = P.findType(MainClass);
-      if (!MainTy.isValid())
-        return Poison(AnalysisErrorKind::MainClassNotFound,
-                      "main class '" + MainClass + "' not found");
-      MethodId Main = P.findMethod(MainTy, "main", {});
-      if (!Main.isValid())
-        return Poison(AnalysisErrorKind::MainMethodNotFound,
-                      "no main() on '" + MainClass + "'");
-      Solver_->makeReachable(Main, Solver_->contexts().empty());
-    }
+    if (std::optional<AnalysisError> Err = startSolver())
+      return Poison(Err->Kind, Err->Message);
     Solver_->solve();
   }
   M.ElapsedSeconds = secondsSince(SolveStart);
@@ -621,13 +650,8 @@ Application core::applyDelta(Application Base,
 // AnalysisSession
 //===----------------------------------------------------------------------===//
 
-unsigned AnalysisSession::defaultJobCount() {
-  return env::resolveWorkerCount(0, "JACKEE_JOBS");
-}
-
 AnalysisSession::AnalysisSession(SessionOptions Opts) : Options(Opts) {
-  Jobs = Options.Jobs ? std::clamp(Options.Jobs, 1u, 256u)
-                      : defaultJobCount();
+  Jobs = env::resolveWorkerCount(Options.Jobs, "JACKEE_JOBS");
   RecordProvenance = Options.Provenance || env::flagVar("JACKEE_PROVENANCE");
   SnapshotDir = Options.SnapshotDir;
   if (SnapshotDir.empty())
@@ -675,7 +699,7 @@ AnalysisSession::imageFor(javalib::CollectionModel Model,
     return It->second;
   auto Image = std::make_shared<BaseImage>();
 
-  // In lookup order: the mmap-able AOT store (when configured), then the
+  // In lookup order: the AOT store (when configured), then the
   // builders. Store failures — missing file, truncation, bad magic, stale
   // version, digest mismatch — warn and fall through; they must never
   // crash the session or silently change results.
@@ -753,7 +777,7 @@ CellResult AnalysisSession::openCell(const Application &App,
   Cell->Lib = Base.Lib;
   Cell->Fw = Base.Frameworks;
   // Deterministic per-cell gauges: where this cell's base program came
-  // from, and what the mapped store cost (0s when builder-sourced).
+  // from, and what reading the store cost (0s when builder-sourced).
   // `session.snapshot.load_ns` is wall-clock and therefore volatile
   // (scripts/diff_metrics.py ignores it); source and bytes are exact.
   Registry.set("session.snapshot.source", Image->FromStore ? 1.0 : 0.0);
@@ -772,7 +796,7 @@ CellResult AnalysisSession::openCell(const Application &App,
 
   Cell->DB = std::make_unique<datalog::Database>(P.symbols());
   Cell->FM = std::make_unique<frameworks::FrameworkManager>(
-      P, *Cell->DB, Options.MockOptions, Options.Plan);
+      P, *Cell->DB, Options.MockOptions);
   frameworks::FrameworkManager &FM = *Cell->FM;
   FM.setTracer(Trace.get());
   FM.setMetricsRegistry(&Registry);
@@ -810,29 +834,14 @@ CellResult AnalysisSession::openCell(const Application &App,
   Cell->Watermark = facts::Extractor::watermarkOf(P);
   Cell->AllocWatermark = P.allocSiteCount();
 
-  Cell->Solver_ = std::make_unique<Solver>(P, solverConfig(Kind));
-  Solver &S = *Cell->Solver_;
-  S.setTracer(Trace.get());
-  S.setMetricsRegistry(&Registry);
-  S.addPlugin(&FM);
   M.PopulateSeconds = secondsSince(PopulateStart);
   PopulateSpan.end();
 
   observe::Span SolveSpan(Trace.get(), "solve", "session");
   auto Start = Clock::now();
-  if (!App.MainClass.empty()) {
-    TypeId MainTy = P.findType(App.MainClass);
-    if (!MainTy.isValid())
-      return AnalysisError{AnalysisErrorKind::MainClassNotFound,
-                           App.Name + ": main class '" + App.MainClass +
-                               "' not found"};
-    MethodId Main = P.findMethod(MainTy, "main", {});
-    if (!Main.isValid())
-      return AnalysisError{AnalysisErrorKind::MainMethodNotFound,
-                           App.Name + ": no main() on '" + App.MainClass +
-                               "'"};
-    S.makeReachable(Main, S.contexts().empty());
-  }
+  if (std::optional<AnalysisError> Err = Cell->startSolver())
+    return AnalysisError{Err->Kind, App.Name + ": " + Err->Message};
+  Solver &S = *Cell->Solver_;
   S.solve();
   M.ElapsedSeconds = secondsSince(Start);
   Registry.set("process.peak_rss.solve_bytes",

@@ -16,7 +16,7 @@
 ///
 ///  - **Snapshot cache.** Each `javalib::CollectionModel`'s base program
 ///    is kept as one immutable serialized image (snapshot/Snapshot.h):
-///    the mapped AOT store's bytes, or the builders' output serialized
+///    the AOT store file's bytes, or the builders' output serialized
 ///    once. Every analysis cell decodes its own `SymbolTable`, unfinalized
 ///    `ir::Program`, `JavaLib` / `FrameworkLib` id bundles and base facts
 ///    from that image instead of re-running the library builders, then
@@ -60,7 +60,7 @@ namespace jackee {
 namespace core {
 
 /// Session-wide knobs. Per-analysis configuration stays in `AnalysisKind`;
-/// the engine knobs (`Plan`, `SnapshotDir`, `Profile`) are inherited from
+/// the engine knobs (`SnapshotDir`, `Profile`) are inherited from
 /// `EngineOptions`, one struct shared with `runAnalysis`. `Jobs` is the
 /// only parallelism: each cell runs on one thread.
 struct SessionOptions : EngineOptions {
@@ -164,11 +164,13 @@ public:
   const Metrics &metrics() const { return Current; }
 
   /// Applies \p Delta and re-solves. On success returns the new metrics
-  /// (also retained in `metrics()`). Unknown entity/config names return
-  /// `AnalysisErrorKind::InvalidDelta` with the cell untouched; a
-  /// constraint failure discovered mid-apply (e.g. retracting a class
-  /// whose subtypes are live) also returns `InvalidDelta` but leaves the
-  /// cell unusable — open a fresh cell.
+  /// (also retained in `metrics()`). A delta whose retractions do not
+  /// apply in order returns `AnalysisErrorKind::InvalidDelta` with the
+  /// cell untouched: an unknown or twice-listed name, a class a live type
+  /// still subtypes (retract subtypes first, earlier in the same delta),
+  /// or a method on a class the delta retracts. A failure discovered
+  /// mid-apply (an added config that fails to register, or a `main` the
+  /// edit removed) leaves the cell unusable — open a fresh cell.
   AnalysisResult update(const CellDelta &Delta);
 
   /// Derivation trees for every live tuple matching \p Query
@@ -213,6 +215,13 @@ public:
 private:
   friend class AnalysisSession;
   AnalysisCell() = default;
+
+  /// Replaces the solver with a fresh one over the cell's program, with
+  /// the tracer, the cell registry and the framework plugin attached, and
+  /// makes `main` reachable when the application names a main class. The
+  /// one solver set-up of open and of a reset update. \returns the error,
+  /// without the application-name prefix, when `main` cannot be found.
+  std::optional<AnalysisError> startSolver();
 
   /// Shared tail of open/update: semantic + effort metrics off the current
   /// fixpoint, registry fold, provenance stats, and — when profiling — the
@@ -330,13 +339,13 @@ public:
   /// Session-lifetime image accounting: the set-up cost of base-program
   /// images. A missing image is made either by the builders
   /// (`SnapshotBuilds`) or — when a store directory is configured — by
-  /// mapping and validating the AOT store (`SnapshotLoads`, see
+  /// reading and validating the AOT store (`SnapshotLoads`, see
   /// src/snapshot/). The per-cell decode is timed in
   /// `Metrics::SnapshotCloneSeconds`.
   struct CacheStats {
     uint64_t SnapshotBuilds = 0; ///< images built (one per model)
-    uint64_t SnapshotLoads = 0;  ///< images mapped from the store
-    uint64_t StoreBytes = 0;     ///< total store bytes mapped and validated
+    uint64_t SnapshotLoads = 0;  ///< images read from the store
+    uint64_t StoreBytes = 0;     ///< total store bytes read and validated
     double BuildSeconds = 0;     ///< builders + serialization
     double LoadSeconds = 0;
   };
@@ -360,11 +369,6 @@ public:
   /// The resolved matrix worker count.
   unsigned jobCount() const { return Jobs; }
 
-  /// The job count a `Jobs == 0` session resolves to: `JACKEE_JOBS` if set
-  /// to a positive integer, else `std::thread::hardware_concurrency()`,
-  /// clamped to [1, 256].
-  static unsigned defaultJobCount();
-
 private:
   /// One collection model's base program as an immutable serialized image
   /// (snapshot/Snapshot.h). Everything application-independent, including
@@ -372,13 +376,13 @@ private:
   /// re-extracting (facts/BaseFacts.h).
   struct BaseImage {
     std::vector<uint8_t> Bytes;
-    bool FromStore = false;  ///< mapped from the store, else built
+    bool FromStore = false;  ///< read from the store, else built
     double LoadSeconds = 0;  ///< store path; 0 when built
   };
 
   /// The image for \p Model: the session's memoized one, or else a new
   /// one, memoized when `SnapshotCache` is on. A new image comes from the
-  /// mmap-able AOT store (when `SnapshotDir` resolved non-empty; a failed
+  /// AOT store (when `SnapshotDir` resolved non-empty; a failed
   /// load warns on stderr and falls through), else from the builders.
   /// Its `snapshot-load`/`snapshot-build` span is parented to
   /// \p ParentSpan (see `openCell`). Thread-safe.

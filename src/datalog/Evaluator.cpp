@@ -109,8 +109,8 @@ private:
 
 } // namespace
 
-Evaluator::Evaluator(Database &DB, const RuleSet &Rules, PlanMode Plan)
-    : DB(DB), Rules(Rules), Planning(resolvePlanMode(Plan)) {
+Evaluator::Evaluator(Database &DB, const RuleSet &Rules)
+    : DB(DB), Rules(Rules) {
   stratify();
 }
 
@@ -201,8 +201,8 @@ void Evaluator::appendPassTasks(std::vector<Task> &Tasks,
   // or any positive atom whose snapshot is empty, makes the join empty by
   // construction. The criterion looks only at the body and the snapshot —
   // never at the chosen plan — so the pass set (and with it the
-  // RuleEvaluations counters and the "passes" arg of trace round spans) is
-  // identical for every plan mode.
+  // RuleEvaluations counters and the "passes" arg of trace round spans)
+  // does not depend on the join order.
   if (DeltaAtom >= 0 && DeltaFrom == DeltaTo)
     return;
   for (const Atom &A : R.Body)
@@ -212,7 +212,7 @@ void Evaluator::appendPassTasks(std::vector<Task> &Tasks,
   uint32_t PlanIdx = static_cast<uint32_t>(Plans.size());
   Plans.push_back(makeJoinPlan(
       R, DeltaAtom,
-      {Planning, std::span<const uint32_t>(Sizes.data(), Sizes.size()), &DB}));
+      {std::span<const uint32_t>(Sizes.data(), Sizes.size()), &DB}));
   const JoinPlan &Plan = Plans.back();
   if (Profiling)
     RuleProfiles[RuleIdx].EstimatedFanout += Plan.EstimatedFanout;
@@ -249,7 +249,7 @@ void Evaluator::runStratum(const Stratum &S, StratumStats &SS) {
   std::vector<JoinPlan> Plans;
 
   // Per-round planner telemetry: how far the chosen orders and guard slots
-  // moved off textual baseline, and what fanout the cost model predicted.
+  // moved off body order, and what fanout the cost model predicted.
   auto recordPlanMetrics = [&]() {
     if (!Registry || Plans.empty())
       return;
@@ -348,7 +348,7 @@ void Evaluator::executeRound(const std::vector<Task> &Tasks,
 
   if (Profiling) {
     // Per-rule pass and rounds-fired attribution: both derive from the
-    // pass set, which appendPassTasks keeps plan-invariant.
+    // pass set, which appendPassTasks keeps independent of the plan.
     ++RoundSerial;
     for (const Task &T : Tasks) {
       RuleProfile &RP = RuleProfiles[T.RuleIdx];
@@ -378,9 +378,9 @@ void Evaluator::executeRound(const std::vector<Task> &Tasks,
   SS.TuplesDerived += EvalStats.TuplesDerived - Before;
 
   // The round's full-match total is the ground truth the planner's
-  // estimated_fanout histogram is compared against; it is plan-invariant
-  // (a match is a binding satisfying every atom and guard over the round's
-  // snapshot, independent of enumeration order).
+  // estimated_fanout histogram is compared against; no join order can
+  // change it (a match is a binding satisfying every atom and guard over
+  // the round's snapshot, independent of enumeration order).
   if (Registry)
     Registry->observe("datalog.plan.actual_matches",
                       static_cast<double>(Scratch.Matches));
@@ -442,8 +442,8 @@ void Evaluator::evaluateRule(uint32_t RuleIdx, const JoinPlan &Plan,
   };
 
   // Profiling: matches whose head tuple was absent at the round barrier —
-  // exactly the provenance-candidate criterion, so the count is identical
-  // in every plan mode.
+  // exactly the provenance-candidate criterion, so the count does not
+  // depend on the join order.
   uint64_t ProfDerived = 0;
   uint64_t MatchesAtStart = S.Matches;
 

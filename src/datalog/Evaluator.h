@@ -43,15 +43,14 @@ namespace datalog {
 /// for a tuple once the round it appeared in is over, so a tuple's
 /// provenance is fixed at its first round. The set of candidates of a
 /// round is snapshot-bounded (joins only range over tuples present at the
-/// round barrier) and therefore identical under every join plan — as
-/// tuple *contents*; the dense indexes in `BodyRefs` are not
-/// plan-invariant, because a round's new tuples are appended in derivation
-/// order, which follows the plan's enumeration order. An observer that
-/// keeps the least candidate per tuple ordered by `RuleIdx` and then by the
-/// referenced tuples' contents records derivations that are bit-identical
-/// under any `JACKEE_PLAN` (`provenance::ProvenanceRecorder` does exactly
-/// that). Calls happen on the thread that called `run()`, so
-/// implementations need no locking.
+/// round barrier) and therefore independent of the join order — as tuple
+/// *contents*; the dense indexes in `BodyRefs` are not, because a round's
+/// new tuples are appended in derivation order, which follows the plan's
+/// enumeration order. An observer that keeps the least candidate per tuple
+/// ordered by `RuleIdx` and then by the referenced tuples' contents
+/// records derivations that no join order can change
+/// (`provenance::ProvenanceRecorder` does exactly that). Calls happen on
+/// the thread that called `run()`, so implementations need no locking.
 class DerivationObserver {
 public:
   virtual ~DerivationObserver() = default;
@@ -94,21 +93,22 @@ public:
   };
 
   /// Per-rule cost attribution (DESIGN.md §14), accumulated across `run()`
-  /// calls while rule profiling is enabled. The counter fields are
-  /// **deterministic** — identical under both plan modes, because they are
-  /// derived from the pass set and the round-snapshot-bounded match set,
-  /// never from enumeration order:
+  /// calls while rule profiling is enabled. Every counter field is
+  /// **deterministic**. These four do not even depend on the join order,
+  /// because they are derived from the pass set and the
+  /// round-snapshot-bounded match set, never from enumeration order:
   ///  - `Passes` / `RoundsFired` count emitted passes (`appendPassTasks`
   ///    looks only at the body and the snapshot);
   ///  - `Matches` counts full join matches (binding satisfies every atom
   ///    and guard over the round snapshot — enumeration-order-free);
   ///  - `Derivations` counts matches whose head tuple was absent at the
-  ///    round barrier (the provenance candidate criterion, proven
-  ///    plan-invariant in DESIGN.md §8), i.e. derivations of this
+  ///    round barrier (the provenance candidate criterion, shown
+  ///    order-free in DESIGN.md §8), i.e. derivations of this
   ///    round's fresh tuples with multiplicity — the attribution-grade
   ///    refinement of `TuplesDerived`, which credits no rule.
   /// `TuplesConsidered` (drive-range tuples scanned) and `EstimatedFanout`
-  /// are **plan-dependent** — the planner picks each pass's drive atom;
+  /// follow the plan, which picks each pass's drive atom from the round's
+  /// snapshot; they are deterministic because the planner is.
   /// `WallSeconds` is volatile.
   struct RuleProfile {
     uint64_t Passes = 0;
@@ -120,15 +120,9 @@ public:
     double WallSeconds = 0;
   };
 
-  /// Prepares strata for \p Rules over \p DB's schema.
-  ///
-  /// \p Plan selects how rule bodies are join-ordered (see `PlanMode`);
-  /// `Auto` resolves the `JACKEE_PLAN` environment variable, defaulting to
-  /// the greedy cost-guided planner. Relation contents, provenance, and the
-  /// deterministic trace structure are identical in every mode — the plan
-  /// only changes how fast the fixpoint is reached.
-  Evaluator(Database &DB, const RuleSet &Rules,
-            PlanMode Plan = PlanMode::Auto);
+  /// Prepares strata for \p Rules over \p DB's schema. Each pass joins
+  /// its rule body in the order `makeJoinPlan` picks for it.
+  Evaluator(Database &DB, const RuleSet &Rules);
 
   /// Checks stratifiability. \returns empty string if OK, else a diagnostic
   /// naming the offending predicate. `run` must not be called on an
@@ -151,8 +145,8 @@ public:
 
   /// Attaches \p T as the span tracer (nullptr detaches). Strata and
   /// semi-naive rounds emit structural `datalog`-category spans whose args
-  /// (round index, tuple/pass counts) are plan-invariant — see
-  /// observe/Trace.h. With no tracer the hot paths gain a single pointer
+  /// (round index, tuple/pass counts) do not depend on the join order —
+  /// see observe/Trace.h. With no tracer the hot paths gain a single pointer
   /// test.
   void setTracer(observe::Tracer *T) { Trace = T; }
   observe::Tracer *tracer() const { return Trace; }
@@ -161,9 +155,10 @@ public:
   /// records round delta sizes (`datalog.round_delta_tuples`) and per-round
   /// join planner histograms: `datalog.plan.reorder_distance` and
   /// `datalog.plan.guard_hoist_depth` (how far the planner moved atoms and
-  /// guards off textual order), `datalog.plan.estimated_fanout` (the cost
+  /// guards off body order), `datalog.plan.estimated_fanout` (the cost
   /// model's prediction), and `datalog.plan.actual_matches` (full join
-  /// matches — plan-invariant, the estimate's ground truth).
+  /// matches — independent of the join order, the estimate's ground
+  /// truth).
   void setMetricsRegistry(observe::MetricsRegistry *R) { Registry = R; }
   observe::MetricsRegistry *metricsRegistry() const { return Registry; }
 
@@ -181,9 +176,6 @@ public:
   const std::vector<RuleProfile> &ruleProfiles() const {
     return RuleProfiles;
   }
-
-  /// The resolved join-plan mode (never `Auto`).
-  PlanMode planMode() const { return Planning; }
 
 private:
   struct Stratum {
@@ -224,8 +216,8 @@ private:
   /// against \p Sizes (the round's snapshot, by relation id). A pass that
   /// cannot match — empty delta range, or any positive atom with an empty
   /// snapshot — is skipped entirely, before planning, so the emitted pass
-  /// set (and with it `RuleEvaluations` and the trace round args) is
-  /// identical for every plan mode. For a seed pass (\p DeltaAtom < 0)
+  /// set (and with it `RuleEvaluations` and the trace round args) does not
+  /// depend on the join order. For a seed pass (\p DeltaAtom < 0)
   /// the drive range is `[0, Sizes[drive atom's relation])` with the drive
   /// atom chosen by the plan; \p DeltaFrom/\p DeltaTo are the delta range
   /// otherwise.
@@ -257,7 +249,6 @@ private:
   std::string StratificationError;
   Stats EvalStats;
 
-  PlanMode Planning;                     ///< resolved, never Auto
   JoinScratch Scratch;
 
   DerivationObserver *Observer = nullptr;

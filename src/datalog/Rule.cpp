@@ -6,48 +6,11 @@
 
 #include "datalog/Rule.h"
 
-#include "support/Env.h"
-
 #include <algorithm>
 #include <cmath>
 
 using namespace jackee;
 using namespace jackee::datalog;
-
-PlanMode jackee::datalog::resolvePlanMode(PlanMode Requested) {
-  if (Requested != PlanMode::Auto)
-    return Requested;
-  if (const char *Env = env::rawVar("JACKEE_PLAN")) {
-    PlanMode Parsed;
-    if (parsePlanMode(Env, Parsed))
-      return Parsed;
-  }
-  return PlanMode::Greedy;
-}
-
-bool jackee::datalog::parsePlanMode(std::string_view Text, PlanMode &Out) {
-  if (Text == "textual") {
-    Out = PlanMode::Textual;
-    return true;
-  }
-  if (Text == "greedy") {
-    Out = PlanMode::Greedy;
-    return true;
-  }
-  return false;
-}
-
-const char *jackee::datalog::planModeName(PlanMode Mode) {
-  switch (Mode) {
-  case PlanMode::Auto:
-    return "auto";
-  case PlanMode::Textual:
-    return "textual";
-  case PlanMode::Greedy:
-    return "greedy";
-  }
-  return "auto";
-}
 
 namespace {
 
@@ -99,29 +62,29 @@ void bindAtomVars(const Atom &A, std::vector<bool> &Bound) {
 
 JoinPlan jackee::datalog::makeJoinPlan(const Rule &R, int DeltaAtom,
                                        const PlanContext &Ctx) {
-  // Textual order: the delta atom first, then positive atoms as spelled.
-  // This is both the `Textual` plan and the greedy tie-break baseline.
-  std::vector<uint32_t> Textual;
+  // Body order: the delta atom first, then positive atoms as spelled. The
+  // greedy pick breaks ties toward it, and the planner metrics measure
+  // against it.
+  std::vector<uint32_t> BodyOrder;
   if (DeltaAtom >= 0)
-    Textual.push_back(static_cast<uint32_t>(DeltaAtom));
+    BodyOrder.push_back(static_cast<uint32_t>(DeltaAtom));
   for (uint32_t I = 0; I != R.Body.size(); ++I)
     if (!R.Body[I].Negated && static_cast<int>(I) != DeltaAtom)
-      Textual.push_back(I);
+      BodyOrder.push_back(I);
 
   JoinPlan Plan;
-  bool Greedy = resolvePlanMode(Ctx.Mode) == PlanMode::Greedy;
-  if (!Greedy || Textual.size() <= 1) {
-    Plan.PositiveOrder = Textual;
+  if (BodyOrder.size() <= 1) {
+    Plan.PositiveOrder = BodyOrder;
   } else {
     // Greedy selection: keep the delta pinned, then repeatedly take the
     // unplaced atom with the smallest estimated fanout under the variables
-    // bound so far. Scanning candidates in textual order makes `<` ties
+    // bound so far. Scanning candidates in body order makes `<` ties
     // resolve toward the spelled body — the plan is deterministic and
-    // degrades to textual order when no statistics discriminate.
+    // degrades to body order when no statistics discriminate.
     std::vector<bool> Bound(R.VariableCount, false);
     std::vector<bool> Placed(R.Body.size(), false);
     std::vector<uint32_t> ColsScratch;
-    Plan.PositiveOrder.reserve(Textual.size());
+    Plan.PositiveOrder.reserve(BodyOrder.size());
     size_t Start = 0;
     if (DeltaAtom >= 0) {
       Plan.PositiveOrder.push_back(static_cast<uint32_t>(DeltaAtom));
@@ -129,11 +92,11 @@ JoinPlan jackee::datalog::makeJoinPlan(const Rule &R, int DeltaAtom,
       bindAtomVars(R.Body[DeltaAtom], Bound);
       Start = 1;
     }
-    while (Plan.PositiveOrder.size() != Textual.size()) {
+    while (Plan.PositiveOrder.size() != BodyOrder.size()) {
       uint32_t BestAtom = ~uint32_t(0);
       double BestCost = 0;
-      for (size_t Rank = Start; Rank != Textual.size(); ++Rank) {
-        uint32_t AtomIdx = Textual[Rank];
+      for (size_t Rank = Start; Rank != BodyOrder.size(); ++Rank) {
+        uint32_t AtomIdx = BodyOrder[Rank];
         if (Placed[AtomIdx])
           continue;
         double Cost = atomEstimate(R.Body[AtomIdx], Bound, Ctx, ColsScratch);
@@ -170,11 +133,12 @@ JoinPlan jackee::datalog::makeJoinPlan(const Rule &R, int DeltaAtom,
     Plan.EstimatedFanout = 0;
 
   for (size_t Pos = 0; Pos != Plan.PositiveOrder.size(); ++Pos) {
-    uint32_t TextualPos = static_cast<uint32_t>(
-        std::find(Textual.begin(), Textual.end(), Plan.PositiveOrder[Pos]) -
-        Textual.begin());
+    uint32_t BodyPos = static_cast<uint32_t>(
+        std::find(BodyOrder.begin(), BodyOrder.end(),
+                  Plan.PositiveOrder[Pos]) -
+        BodyOrder.begin());
     uint32_t P = static_cast<uint32_t>(Pos);
-    Plan.ReorderDistance += P > TextualPos ? P - TextualPos : TextualPos - P;
+    Plan.ReorderDistance += P > BodyPos ? P - BodyPos : BodyPos - P;
   }
 
   // Guard placement. `FirstBoundAt[v]` is the earliest slot k (i.e. after
@@ -209,14 +173,14 @@ JoinPlan jackee::datalog::makeJoinPlan(const Rule &R, int DeltaAtom,
   uint32_t LastSlot = static_cast<uint32_t>(Order);
   for (uint32_t CI = 0; CI != R.Constraints.size(); ++CI) {
     const Constraint &C = R.Constraints[CI];
-    uint32_t Slot = Greedy ? slotFor({&C.Lhs, &C.Rhs}, nullptr) : LastSlot;
+    uint32_t Slot = slotFor({&C.Lhs, &C.Rhs}, nullptr);
     Plan.ConstraintsAt[Slot].push_back(CI);
     Plan.GuardHoistDepth += LastSlot - Slot;
   }
   for (uint32_t AI = 0; AI != R.Body.size(); ++AI) {
     if (!R.Body[AI].Negated)
       continue;
-    uint32_t Slot = Greedy ? slotFor({}, &R.Body[AI].Terms) : LastSlot;
+    uint32_t Slot = slotFor({}, &R.Body[AI].Terms);
     Plan.NegationsAt[Slot].push_back(AI);
     Plan.GuardHoistDepth += LastSlot - Slot;
   }

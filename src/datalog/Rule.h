@@ -20,7 +20,6 @@
 
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace jackee {
@@ -80,34 +79,10 @@ struct Rule {
   std::string Origin;
 };
 
-/// How `makeJoinPlan` orders a rule's positive body atoms.
-enum class PlanMode : uint8_t {
-  /// Resolve the `JACKEE_PLAN` environment variable ("textual"/"greedy"),
-  /// defaulting to `Greedy`.
-  Auto,
-  /// Textual body order (delta atom pinned first), constraints and negated
-  /// atoms checked only after the full join — the engine's historical
-  /// behavior, kept as the A/B baseline.
-  Textual,
-  /// Greedy cost-guided ordering with guard hoisting (see `makeJoinPlan`).
-  Greedy,
-};
-
-/// Resolves \p Requested: `Auto` consults `JACKEE_PLAN`, anything else is
-/// returned unchanged. Never returns `Auto`.
-PlanMode resolvePlanMode(PlanMode Requested);
-
-/// Parses "textual"/"greedy" into \p Out. \returns false on anything else.
-bool parsePlanMode(std::string_view Text, PlanMode &Out);
-
-/// Stable display name ("auto", "textual", "greedy").
-const char *planModeName(PlanMode Mode);
-
-/// Inputs the planner costs candidate orders with. All fields are optional:
-/// a default-constructed context plans in textual mode with no statistics,
-/// which is exactly the historical `makeJoinPlan` behavior.
+/// Inputs the planner costs candidate orders with. Both fields are
+/// optional: a default-constructed context has no statistics, so every
+/// atom estimates as empty and the plan keeps body order.
 struct PlanContext {
-  PlanMode Mode = PlanMode::Textual;
   /// Live tuple count per relation id at plan time (the semi-naive round's
   /// snapshot). Relations past the end estimate via \p Stats or as empty.
   std::span<const uint32_t> RelationSizes;
@@ -142,15 +117,16 @@ struct JoinPlan {
   std::vector<std::vector<uint32_t>> BoundColumns;
   /// Guard slots, both sized `PositiveOrder.size() + 1`. `ConstraintsAt[k]`
   /// holds indexes into `Rule::Constraints`, `NegationsAt[k]` body indexes
-  /// of negated atoms. Textual plans keep every guard in the last slot.
+  /// of negated atoms.
   std::vector<std::vector<uint32_t>> ConstraintsAt;
   std::vector<std::vector<uint32_t>> NegationsAt;
 
   // Planner observability, aggregated into the metrics registry per round.
-  /// Sum over atoms of |plan position - textual position|.
+  /// Sum over atoms of |plan position - body-order position|, where body
+  /// order puts the delta atom first.
   uint32_t ReorderDistance = 0;
   /// Sum over guards of (last slot - assigned slot): how much earlier than
-  /// the historical check point each guard runs.
+  /// after the full join each guard runs.
   uint32_t GuardHoistDepth = 0;
   /// Product over plan positions of the per-atom fanout estimate the cost
   /// model predicts for the chosen order (0 when any atom is empty).
@@ -160,18 +136,17 @@ struct JoinPlan {
 /// Computes the join plan for evaluating \p R with \p DeltaAtom as the
 /// delta-restricted body atom (-1 for a full/naive pass).
 ///
-/// In `Greedy` mode the delta atom stays pinned at position 0 (the delta is
-/// usually the smallest input and semi-naive correctness wants it driving);
-/// the remaining positive atoms are picked one at a time, each step taking
-/// the atom with the smallest estimated fanout under the already-bound
-/// variables, breaking ties toward textual order. The estimate for an atom
+/// The delta atom stays pinned at position 0 (the delta is usually the
+/// smallest input and semi-naive correctness wants it driving); the
+/// remaining positive atoms are picked one at a time, each step taking the
+/// atom with the smallest estimated fanout under the already-bound
+/// variables, breaking ties toward body order. The estimate for an atom
 /// with `N` live tuples and `B` of `A` columns bound is `N / distinct-keys`
 /// when \p Ctx.Stats has an index over exactly those columns, else the
 /// `N^(1 - B/A)` uniform-selectivity heuristic (1 when fully bound, `N`
 /// when unbound). Guards are hoisted to the earliest slot where their
-/// variables are bound. `Textual` mode reproduces the historical plan
-/// (body order, guards last) so the two modes can be A/B-compared; results
-/// are bit-identical either way.
+/// variables are bound. The order only changes how fast a pass runs, never
+/// what it derives (DESIGN.md §10.2).
 JoinPlan makeJoinPlan(const Rule &R, int DeltaAtom,
                       const PlanContext &Ctx = {});
 

@@ -12,8 +12,8 @@
 /// analysis cell can *bulk-load* the base facts and extract only the
 /// application delta (`extractProgramDelta` past the captured watermark)
 /// instead of re-walking the whole base library — the fact-side half of the
-/// base-program snapshot cache, and the payload the mmap-able snapshot
-/// store (src/snapshot/) serializes.
+/// base-program snapshot cache, and the payload the snapshot store
+/// (src/snapshot/) serializes.
 ///
 /// A set always holds every base relation, whatever a cell demands: one
 /// image serves every rule set, `Application::ExtraRules` included, and a

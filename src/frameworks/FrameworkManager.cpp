@@ -19,9 +19,8 @@ using namespace jackee::frameworks;
 using jackee::datalog::RelationId;
 
 FrameworkManager::FrameworkManager(Program &P, datalog::Database &DB,
-                                   MockPolicyOptions Options,
-                                   datalog::PlanMode Plan)
-    : P(P), DB(DB), Options(Options), Plan(Plan) {
+                                   MockPolicyOptions Options)
+    : P(P), DB(DB), Options(Options) {
   // Rule text may name any base relation, so the schema is declared before
   // the first rule parses; `prepare()` decides which relations to fill.
   facts::declareSchema(DB);
@@ -141,7 +140,7 @@ std::string FrameworkManager::prepare() {
     XmlSpan.arg("file", FileName);
     Facts->extractXml(Doc, FileName);
   }
-  Eval = std::make_unique<datalog::Evaluator>(DB, Rules, Plan);
+  Eval = std::make_unique<datalog::Evaluator>(DB, Rules);
   if (std::string Err = Eval->validate(); !Err.empty())
     return Err;
   Eval->setObserver(Provenance);

@@ -61,12 +61,9 @@ struct MockPolicyOptions {
 class FrameworkManager : public pointsto::Plugin {
 public:
   /// \p P is mutated (synthetic bean/mock objects are added). \p DB must
-  /// share P's symbol table. \p Plan is forwarded to the Datalog evaluator
-  /// (`Auto` = `JACKEE_PLAN` env var / greedy cost-guided join ordering —
-  /// see `datalog::PlanMode`).
+  /// share P's symbol table.
   FrameworkManager(ir::Program &P, datalog::Database &DB,
-                   MockPolicyOptions Options = {},
-                   datalog::PlanMode Plan = datalog::PlanMode::Auto);
+                   MockPolicyOptions Options = {});
 
   /// Registers framework-model rule text. \returns an empty string on
   /// success, else the parse diagnostic. The vocabulary is pre-registered.
@@ -243,7 +240,6 @@ private:
   ir::Program &P;
   datalog::Database &DB;
   MockPolicyOptions Options;
-  datalog::PlanMode Plan;
   datalog::RuleSet Rules;
   std::unique_ptr<datalog::Evaluator> Eval;
   std::optional<facts::Extractor> Facts;

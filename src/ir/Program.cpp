@@ -319,6 +319,20 @@ std::string Program::retractClass(std::string_view Name) {
   TypeId T = findType(Name);
   if (!T.isValid())
     return "retractClass: no type named '" + std::string(Name) + "'";
+  if (std::string Err = retractBlocker(T); !Err.empty())
+    return Err;
+  Type &Ty = type(T);
+  Ty.IsRetracted = true;
+  for (MethodId M : Ty.Methods)
+    method(M).IsRetracted = true;
+  // Free the name so a later delta can re-add it as a fresh type id.
+  TypeByName.erase(Ty.Name);
+  Finalized = false;
+  return "";
+}
+
+std::string Program::retractBlocker(
+    TypeId T, std::span<const TypeId> AlsoRetracted) const {
   // A live subtype would keep dispatching into the dead class's slots;
   // require leaf-first retraction instead of silently corrupting dispatch.
   // Checked structurally (not via AncestorBits) so retraction also works on
@@ -337,20 +351,15 @@ std::string Program::retractClass(std::string_view Name) {
     return false;
   };
   for (uint32_t I = 0; I != typeCount(); ++I) {
-    if (I == T.index() || Types[I].IsRetracted)
+    if (I == T.index() || Types[I].IsRetracted ||
+        std::find(AlsoRetracted.begin(), AlsoRetracted.end(), TypeId(I)) !=
+            AlsoRetracted.end())
       continue;
     if (Reaches(I, Reaches))
       return "retractClass: live type '" +
              std::string(Symbols.text(Types[I].Name)) + "' still subtypes '" +
-             std::string(Name) + "'";
+             std::string(Symbols.text(Types[T.index()].Name)) + "'";
   }
-  Type &Ty = type(T);
-  Ty.IsRetracted = true;
-  for (MethodId M : Ty.Methods)
-    method(M).IsRetracted = true;
-  // Free the name so a later delta can re-add it as a fresh type id.
-  TypeByName.erase(Ty.Name);
-  Finalized = false;
   return "";
 }
 

@@ -26,6 +26,7 @@
 #include "support/Id.h"
 #include "support/SymbolTable.h"
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -281,6 +282,13 @@ public:
   /// replays retractions during populate); call `finalize()` again before
   /// analyzing.
   std::string retractClass(std::string_view Name);
+
+  /// Why `retractClass` would refuse \p T: the diagnostic naming the first
+  /// live type other than \p T that still subtypes it, skipping the types
+  /// in \p AlsoRetracted (retracted before \p T in the same edit). Empty
+  /// when nothing blocks the retraction.
+  std::string retractBlocker(TypeId T,
+                             std::span<const TypeId> AlsoRetracted = {}) const;
 
   /// Tombstones every live method named \p MethodName declared by class
   /// \p ClassName (all overloads). Fails with a non-empty diagnostic when

@@ -25,15 +25,13 @@
 ///     write through, so long corpus runs are observable in flight.
 ///
 /// **Determinism contract.** Every field is classified as either
-/// *deterministic* — bit-identical at any `JACKEE_JOBS` setting and under
-/// both join-plan modes — or *volatile* (wall time, RSS, capacity-derived
-/// bytes, plan-dependent planner numbers).
+/// *deterministic* — bit-identical at any `JACKEE_JOBS` setting — or
+/// *volatile* (wall time and RSS).
 /// `renderProfileText` emits only deterministic fields, so the text report
-/// byte-diffs across the whole job × plan grid;
+/// byte-diffs across job counts;
 /// `profileToJson` emits everything, with volatile keys named so
 /// `scripts/profile_report.py` can threshold instead of exact-compare
-/// them (`*_seconds`, `*_rss_*`, `*_approx`, `tuples_considered`,
-/// `estimated_fanout`).
+/// them (`*_seconds`, `*_rss_*`).
 ///
 /// The structs here are observe-layer plain data: the Datalog evaluator,
 /// the points-to solver, and the session driver each fill in their slice
@@ -61,12 +59,12 @@ namespace observe {
 struct ProfileRule {
   std::string Name;   ///< head relation name + per-head ordinal ("VPT#2")
   std::string Origin; ///< rule-text provenance ("spring.dl", "vocabulary.dl")
-  // Deterministic (plan-invariant; see Evaluator.h).
+  // Deterministic, and independent of the join order (see Evaluator.h).
   uint64_t Passes = 0;      ///< rule x delta evaluation passes emitted
   uint64_t RoundsFired = 0; ///< rounds with at least one pass for the rule
   uint64_t Derivations = 0; ///< matches deriving a barrier-fresh head tuple
   uint64_t Matches = 0;     ///< full join matches (planner "actual")
-  // Plan-dependent (the planner picks each pass's drive atom).
+  // Deterministic, following the plan (it picks each pass's drive atom).
   uint64_t TuplesConsidered = 0; ///< drive-range tuples scanned
   double EstimatedFanout = 0;    ///< planner estimate, summed over passes
   // Volatile.
@@ -82,7 +80,8 @@ struct ProfileRelationRow {
   uint64_t Live = 0;      ///< live tuples
   uint64_t Dead = 0;      ///< tombstoned tuples
   uint64_t DataBytes = 0; ///< Tuples * Arity * sizeof(Symbol) — exact payload
-  // Volatile (capacity growth / lazily built indexes vary with plan mode).
+  // Deterministic, but capacity-derived footprints (the names say
+  // approximate); indexes are built lazily for the passes the plan runs.
   uint64_t StoreBytesApprox = 0; ///< tuple store + dedup table footprint
   uint64_t IndexBytesApprox = 0; ///< secondary index footprint
   uint64_t IndexesApprox = 0;    ///< number of indexes built
@@ -136,8 +135,8 @@ struct Profile {
 
 /// Renders the deterministic report: top-\p TopK hot rules (by derivations)
 /// and hot relations (by payload bytes) plus the full census. Emits only
-/// deterministic fields, so the output is bit-identical across the job ×
-/// plan grid (the profile-smoke CI byte-diff).
+/// deterministic fields, so the output is bit-identical across job counts
+/// (the profile-smoke CI byte-diff).
 std::string renderProfileText(const Profile &P, size_t TopK = 10);
 
 /// Renders the complete profile — volatile fields included — as a JSON

@@ -19,8 +19,8 @@
 /// — phases, strata, semi-naive rounds, bean-wiring rounds, fixpoint
 /// iterations. Span names, nesting, and args carry only deterministic
 /// quantities (round indexes, tuple counts, rule counts), so the
-/// timestamp-stripped span tree is bit-identical at any `JACKEE_JOBS` /
-/// `JACKEE_PLAN` setting (DESIGN.md §9).
+/// timestamp-stripped span tree is bit-identical at any `JACKEE_JOBS`
+/// setting (DESIGN.md §9).
 /// `renderStructure` renders exactly this tree, sorting sibling subtrees so
 /// concurrent cells serialize canonically.
 ///

@@ -22,8 +22,8 @@ bool ProvenanceRecorder::candidateLess(uint32_t RuleIdx,
     return RuleIdx < Old.RuleIdx;
   // Same rule, so the witnesses pair up positionally and each position's
   // relation is the body atom's. Compare by tuple *contents*: dense
-  // indexes are not comparable across plan modes (a round's tuples are
-  // appended in derivation order, which follows the join plan), but
+  // indexes follow the join order (a round's tuples are appended in
+  // derivation order, which follows the join plan), contents do not, and
   // relations deduplicate, so distinct indexes always mean distinct
   // contents and the content order is total.
   std::span<const uint32_t> OldRefs = refs(Old);

@@ -12,9 +12,9 @@
 /// the least candidate of the round the tuple first appeared in, ordered by
 /// rule index and then by the witness tuples' *contents* (not their dense
 /// indexes: a round's new tuples are appended in derivation order, which
-/// follows the join plan, so indexes differ across plan modes while
-/// contents never do). The surviving derivation is bit-identical for every
-/// `JACKEE_PLAN` setting (see DESIGN.md §8). Base facts carry no
+/// follows the join plan, so indexes change with the join order while
+/// contents never do). No join order can change the surviving derivation
+/// (see DESIGN.md §8). Base facts carry no
 /// derivation; instead they are attributed to the *epoch* (extraction,
 /// bean-wiring round N, ...) during which they were inserted, via
 /// relation-size watermarks taken at each `beginEpoch` call.

@@ -1,4 +1,4 @@
-//===- Snapshot.cpp - mmap-able AOT base-program store --------------------===//
+//===- Snapshot.cpp - AOT base-program store ------------------------------===//
 //
 // Part of JackEE-CPP (PLDI'20 "Frameworks and Caches" reproduction).
 //
@@ -13,15 +13,8 @@
 #include <bit>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string_view>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#define JACKEE_SNAPSHOT_HAS_MMAP 1
-#endif
 
 using namespace jackee;
 using namespace jackee::snapshot;
@@ -659,78 +652,28 @@ bool readFacts(ByteReader &R, facts::BaseFactSet &Facts) {
 }
 
 //===----------------------------------------------------------------------===//
-// File mapping
+// File reading
 //===----------------------------------------------------------------------===//
 
-// Read-only view of a store file: mmap'd where available (replicas share
-// the page cache; the kernel faults pages in lazily), buffered read
-// otherwise. Decoding copies everything out, so the mapping only needs to
-// outlive `deserialize`.
-class MappedBuffer {
-public:
-  MappedBuffer() = default;
-  MappedBuffer(const MappedBuffer &) = delete;
-  MappedBuffer &operator=(const MappedBuffer &) = delete;
-  ~MappedBuffer() {
-#if JACKEE_SNAPSHOT_HAS_MMAP
-    if (Ptr)
-      ::munmap(const_cast<uint8_t *>(Ptr), Size);
-#endif
-  }
-
-  std::span<const uint8_t> bytes() const {
-    if (Ptr)
-      return {Ptr, Size};
-    return {Fallback.data(), Fallback.size()};
-  }
-
-  // \returns an empty string on success, else why the file is unreadable.
-  std::string open(const std::string &Path) {
-#if JACKEE_SNAPSHOT_HAS_MMAP
-    int Fd = ::open(Path.c_str(), O_RDONLY);
-    if (Fd < 0)
-      return "cannot open";
-    struct stat St;
-    if (::fstat(Fd, &St) != 0 || St.st_size < 0) {
-      ::close(Fd);
-      return "cannot stat";
-    }
-    Size = static_cast<size_t>(St.st_size);
-    if (Size == 0) {
-      ::close(Fd);
-      return "empty file";
-    }
-    void *Map = ::mmap(nullptr, Size, PROT_READ, MAP_PRIVATE, Fd, 0);
-    ::close(Fd);
-    if (Map != MAP_FAILED) {
-      Ptr = static_cast<const uint8_t *>(Map);
-      return "";
-    }
-    // Fall through to the buffered path (e.g. filesystems without mmap).
-#endif
-    std::FILE *In = std::fopen(Path.c_str(), "rb");
-    if (!In)
-      return "cannot open";
-    std::fseek(In, 0, SEEK_END);
-    long End = std::ftell(In);
-    std::fseek(In, 0, SEEK_SET);
-    if (End <= 0) {
-      std::fclose(In);
-      return "empty file";
-    }
-    Fallback.resize(static_cast<size_t>(End));
-    size_t Read = std::fread(Fallback.data(), 1, Fallback.size(), In);
-    std::fclose(In);
-    if (Read != Fallback.size())
-      return "short read";
-    return "";
-  }
-
-private:
-  const uint8_t *Ptr = nullptr;
-  size_t Size = 0;
-  std::vector<uint8_t> Fallback;
-};
+// Reads the whole store file into \p Bytes. \returns an empty string on
+// success, else why the file is unreadable.
+std::string readFile(const std::string &Path, std::vector<uint8_t> &Bytes) {
+  struct Closer {
+    void operator()(std::FILE *F) const { std::fclose(F); }
+  };
+  std::unique_ptr<std::FILE, Closer> In(std::fopen(Path.c_str(), "rb"));
+  if (!In)
+    return "cannot open";
+  std::fseek(In.get(), 0, SEEK_END);
+  long End = std::ftell(In.get());
+  std::fseek(In.get(), 0, SEEK_SET);
+  if (End <= 0)
+    return "empty file";
+  Bytes.resize(static_cast<size_t>(End));
+  if (std::fread(Bytes.data(), 1, Bytes.size(), In.get()) != Bytes.size())
+    return "short read";
+  return "";
+}
 
 } // namespace
 
@@ -937,16 +880,16 @@ LoadResult jackee::snapshot::loadFromDir(const std::string &Dir,
                                          javalib::CollectionModel Model,
                                          std::vector<uint8_t> *Image) {
   std::string Path = snapshotPath(Dir, Model);
-  MappedBuffer Buf;
-  if (std::string Err = Buf.open(Path); !Err.empty()) {
+  std::vector<uint8_t> Bytes;
+  if (std::string Err = readFile(Path, Bytes); !Err.empty()) {
     LoadResult Out;
     Out.Warning = "'" + Path + "': " + Err;
     return Out;
   }
-  LoadResult Out = deserialize(Buf.bytes(), Model);
+  LoadResult Out = deserialize(Bytes, Model);
   if (!Out.ok())
     Out.Warning = "'" + Path + "': " + Out.Warning;
   else if (Image)
-    Image->assign(Buf.bytes().begin(), Buf.bytes().end());
+    *Image = std::move(Bytes);
   return Out;
 }

@@ -1,4 +1,4 @@
-//===- Snapshot.h - mmap-able AOT base-program store ------------*- C++ -*-===//
+//===- Snapshot.h - AOT base-program store ----------------------*- C++ -*-===//
 //
 // Part of JackEE-CPP (PLDI'20 "Frameworks and Caches" reproduction).
 //
@@ -15,10 +15,10 @@
 ///    the builders, extracts the base relation facts, and `saveToDir`
 ///    writes one versioned binary image per collection model.
 ///  - **Phase 2** (`EngineOptions::SnapshotDir` / `JACKEE_SNAPSHOT_DIR`):
-///    `core::AnalysisSession` maps the store read-only, validates it, and
+///    `core::AnalysisSession` reads the store file once, validates it, and
 ///    keeps the image instead of running builders, so a cold CLI run or a
-///    service replica boots in the time it takes to decode a few hundred
-///    kilobytes — and replicas share page cache.
+///    service replica boots in the time it takes to read and decode a few
+///    hundred kilobytes.
 ///
 /// The image is also the session's in-process cache format: without a
 /// store, a session serializes `buildBase` output once per model, and every
@@ -103,7 +103,7 @@ struct LoadResult {
 
 /// Validates and decodes one image. All strings and tuples are copied out
 /// of \p Image into owned storage (cells mutate what they decode), so the
-/// backing mapping may be unmapped as soon as this returns.
+/// image buffer may be freed or reused as soon as this returns.
 LoadResult deserialize(std::span<const uint8_t> Image,
                        javalib::CollectionModel Expected);
 
@@ -122,10 +122,10 @@ std::string saveToDir(const std::string &Dir, const BaseProgram &B,
                       javalib::CollectionModel Model,
                       uint64_t *OutBytes = nullptr);
 
-/// Phase 2: maps the store file for \p Model read-only (falling back to a
-/// buffered read where mmap is unavailable) and deserializes it. When the
-/// image validates and \p Image is non-null, \p Image receives a copy of
-/// its bytes — what the session keeps and decodes per cell.
+/// Phase 2: reads the store file for \p Model into memory once and
+/// deserializes it. When the image validates and \p Image is non-null,
+/// the read bytes are moved into \p Image — what the session keeps and
+/// decodes per cell.
 LoadResult loadFromDir(const std::string &Dir, javalib::CollectionModel Model,
                        std::vector<uint8_t> *Image = nullptr);
 

@@ -8,14 +8,13 @@
 /// One home for every `JACKEE_*` environment knob. The precedence rule is
 /// the same everywhere and documented exactly once:
 ///
-///   explicit option (> 0 / non-Auto)  >  environment variable  >  default
+///   explicit option (when set)  >  environment variable  >  default
 ///
 /// where the default for the one worker count, `JACKEE_JOBS`, is
 /// `hardware_concurrency` clamped to [1, 256]. Variables and their
 /// consumers:
 ///
 ///   JACKEE_JOBS            analysis-cell matrix workers (core::AnalysisSession)
-///   JACKEE_PLAN            join-plan mode               (datalog::resolvePlanMode)
 ///   JACKEE_PROVENANCE      derivation recording on/off  (core::AnalysisSession)
 ///   JACKEE_TRACE           span tracing, value = output path (core::AnalysisSession)
 ///   JACKEE_PROFILE         deep profiler, value = event-log path (core::AnalysisSession)

@@ -3,11 +3,14 @@
 // Part of JackEE-CPP (PLDI'20 "Frameworks and Caches" reproduction).
 //
 // Differential testing of the semi-naive engine: random (seeded) Datalog
-// programs are evaluated both by the production evaluator and by an
-// independent brute-force reference (sets of tuple vectors, naive rule
-// application to fixpoint). The two must derive identical relations.
+// programs are evaluated both by the production evaluator and by the
+// independent brute-force reference in NaiveEvaluator.h (sets of tuple
+// vectors, naive rule application to fixpoint). The two must derive
+// identical relations.
 //
 //===----------------------------------------------------------------------===//
+
+#include "NaiveEvaluator.h"
 
 #include "datalog/Database.h"
 #include "datalog/Evaluator.h"
@@ -15,127 +18,13 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <random>
-#include <set>
 
 using namespace jackee;
 using namespace jackee::datalog;
+using jackee::test::NaiveEvaluator;
 
 namespace {
-
-using Tuple = std::vector<uint32_t>;          // raw symbol values
-using RelationContents = std::set<Tuple>;
-
-/// Brute-force reference: applies every rule against full relation contents
-/// until nothing changes. Independent of the engine's data structures.
-class NaiveEvaluator {
-public:
-  NaiveEvaluator(const Database &DB, const RuleSet &Rules)
-      : DB(DB), Rules(Rules) {
-    Contents.resize(DB.relationCount());
-    for (uint32_t R = 0; R != DB.relationCount(); ++R) {
-      const Relation &Rel = DB.relation(RelationId(R));
-      for (uint32_t T = 0; T != Rel.size(); ++T) {
-        Tuple Tup;
-        for (uint32_t C = 0; C != Rel.arity(); ++C)
-          Tup.push_back(Rel.tuple(T)[C].rawValue());
-        Contents[R].insert(Tup);
-      }
-    }
-  }
-
-  void run() {
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (const Rule &R : Rules.rules())
-        Changed |= applyRule(R);
-    }
-  }
-
-  const RelationContents &contents(uint32_t Rel) const {
-    return Contents[Rel];
-  }
-
-private:
-  bool applyRule(const Rule &R) {
-    std::vector<uint32_t> Bindings(R.VariableCount, ~0u);
-    return matchFrom(R, 0, Bindings);
-  }
-
-  // Enumerate positive atoms in order; negation/constraints checked at the
-  // end (rule safety guarantees everything is bound by then).
-  bool matchFrom(const Rule &R, size_t AtomIndex,
-                 std::vector<uint32_t> &Bindings) {
-    // Skip negated atoms during enumeration.
-    while (AtomIndex < R.Body.size() && R.Body[AtomIndex].Negated)
-      ++AtomIndex;
-    if (AtomIndex == R.Body.size())
-      return finishMatch(R, Bindings);
-
-    const Atom &A = R.Body[AtomIndex];
-    bool Changed = false;
-    for (const Tuple &T : Contents[A.Rel.index()]) {
-      std::vector<uint32_t> Saved = Bindings;
-      bool Ok = true;
-      for (size_t C = 0; C != A.Terms.size() && Ok; ++C) {
-        const Term &Tm = A.Terms[C];
-        if (Tm.isConstant()) {
-          Ok = T[C] == Tm.Value.rawValue();
-        } else if (Bindings[Tm.VarIndex] != ~0u) {
-          Ok = T[C] == Bindings[Tm.VarIndex];
-        } else {
-          Bindings[Tm.VarIndex] = T[C];
-        }
-      }
-      if (Ok)
-        Changed |= matchFrom(R, AtomIndex + 1, Bindings);
-      Bindings = Saved;
-    }
-    return Changed;
-  }
-
-  bool finishMatch(const Rule &R, const std::vector<uint32_t> &Bindings) {
-    auto valueOf = [&](const Term &T) {
-      return T.isConstant() ? T.Value.rawValue() : Bindings[T.VarIndex];
-    };
-    for (const Constraint &C : R.Constraints) {
-      bool Equal = valueOf(C.Lhs) == valueOf(C.Rhs);
-      if (C.CompareKind == Constraint::Kind::Equal ? !Equal : Equal)
-        return false;
-    }
-    for (const Atom &A : R.Body) {
-      if (!A.Negated)
-        continue;
-      Tuple T;
-      for (const Term &Tm : A.Terms)
-        T.push_back(valueOf(Tm));
-      if (Contents[A.Rel.index()].count(T))
-        return false;
-    }
-    Tuple Head;
-    for (const Term &Tm : R.Head.Terms)
-      Head.push_back(valueOf(Tm));
-    return Contents[R.Head.Rel.index()].insert(Head).second;
-  }
-
-  const Database &DB;
-  const RuleSet &Rules;
-  std::vector<RelationContents> Contents;
-};
-
-RelationContents engineContents(const Database &DB, uint32_t Rel) {
-  RelationContents Result;
-  const Relation &R = DB.relation(RelationId(Rel));
-  for (uint32_t T = 0; T != R.size(); ++T) {
-    Tuple Tup;
-    for (uint32_t C = 0; C != R.arity(); ++C)
-      Tup.push_back(R.tuple(T)[C].rawValue());
-    Result.insert(Tup);
-  }
-  return Result;
-}
 
 /// Seeded random program: base relations with random facts, derived
 /// relations with random safe rules (positive bodies, occasional
@@ -263,17 +152,14 @@ TEST_P(DifferentialTest, EngineMatchesNaiveReference) {
   NaiveEvaluator Reference(DB, Rules);
   Reference.run();
 
-  // Randomize the join-plan mode per seed so the differential oracle
-  // exercises both planner modes, not just the greedy default.
-  PlanMode Plan = Rng() % 2 ? PlanMode::Greedy : PlanMode::Textual;
-  Evaluator Engine(DB, Rules, Plan);
+  Evaluator Engine(DB, Rules);
   ASSERT_EQ(Engine.validate(), "");
   Engine.run();
 
   for (uint32_t Rel = 0; Rel != DB.relationCount(); ++Rel)
-    EXPECT_EQ(engineContents(DB, Rel), Reference.contents(Rel))
+    EXPECT_EQ(test::contentsOf(DB, Rel), Reference.contents(Rel))
         << "relation " << DB.relation(RelationId(Rel)).name() << " (seed "
-        << GetParam() << ", plan " << planModeName(Plan) << ")";
+        << GetParam() << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,

@@ -2,85 +2,78 @@
 //
 // Part of JackEE-CPP (PLDI'20 "Frameworks and Caches" reproduction).
 //
-// The greedy planner must (a) pick the orders its cost model promises on
+// The join planner must (a) pick the orders its cost model promises on
 // hand-built rules with known cardinalities, (b) hoist guards to the
 // earliest slot where their variables are bound, and (c) never change
-// results: relation contents, work counters and provenance are identical
-// between textual and greedy plans. Also covers the empty-pass pruning in
-// task building, the per-stratum stats records, and the index accounting
-// that feeds `observed.db.index_bytes`. Fixtures cover the hot shapes from
-// the pipeline: transitive closure and a bean-wiring-style multi-stratum
-// program with negation and recursion.
+// results: relation contents match the naive reference evaluator
+// (NaiveEvaluator.h) on an adversarially spelled join and on the hot
+// shapes from the pipeline — transitive closure and a bean-wiring-style
+// multi-stratum program with negation and recursion — including re-runs
+// over grown inputs. Also covers the empty-pass pruning in task building,
+// the per-stratum stats records, and the index accounting that feeds
+// `observed.db.index_bytes`.
 //
 //===----------------------------------------------------------------------===//
+
+#include "NaiveEvaluator.h"
 
 #include "datalog/Database.h"
 #include "datalog/Evaluator.h"
 #include "datalog/Parser.h"
-#include "provenance/Explain.h"
-#include "provenance/Provenance.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <functional>
 #include <random>
-#include <set>
 #include <string>
 #include <vector>
 
 using namespace jackee;
 using namespace jackee::datalog;
+using jackee::test::NaiveEvaluator;
 
 namespace {
 
-using Tuple = std::vector<uint32_t>;
-using Contents = std::set<Tuple>;
-
-Contents relationContents(const Database &DB, uint32_t Rel) {
-  Contents Result;
-  const Relation &R = DB.relation(RelationId(Rel));
-  for (uint32_t T = 0; T != R.size(); ++T) {
-    Tuple Tup;
-    for (uint32_t C = 0; C != R.arity(); ++C)
-      Tup.push_back(R.tuple(T)[C].rawValue());
-    Result.insert(Tup);
-  }
-  return Result;
-}
-
-std::vector<Contents> allContents(const Database &DB) {
-  std::vector<Contents> Result;
-  for (uint32_t Rel = 0; Rel != DB.relationCount(); ++Rel)
-    Result.push_back(relationContents(DB, Rel));
-  return Result;
-}
-
-/// Parses \p RuleText, loads facts, runs under the given plan mode, and
-/// returns all relation contents (plus stats if asked).
-std::vector<Contents>
-evaluateWith(PlanMode Plan, const char *RuleText,
-             const std::function<void(Database &)> &LoadFacts,
-             Evaluator::Stats *StatsOut = nullptr) {
+/// Parses \p RuleText, loads facts, runs the engine, and returns its
+/// stats.
+Evaluator::Stats
+statsAfterRun(const char *RuleText,
+              const std::function<void(Database &)> &LoadFacts) {
   SymbolTable Symbols;
   Database DB(Symbols);
   RuleSet Rules;
   ParserResult PR = parseRules(DB, Rules, RuleText, "planner-test");
   EXPECT_TRUE(PR.Ok) << PR.Error;
   LoadFacts(DB);
-  Evaluator Eval(DB, Rules, Plan);
+  Evaluator Eval(DB, Rules);
   EXPECT_EQ(Eval.validate(), "");
-  EXPECT_EQ(Eval.planMode(), Plan);
   Eval.run();
-  if (StatsOut)
-    *StatsOut = Eval.stats();
-  return allContents(DB);
+  return Eval.stats();
 }
 
-/// A three-way join spelled worst-first: the big relation drives textually,
-/// while the greedy planner should start from the tiny filter.
+/// Evaluates \p RuleText over the facts \p LoadFacts inserts, on the engine
+/// and on the naive reference, and expects identical relations.
+void expectMatchesReference(const char *Name, const char *RuleText,
+                            const std::function<void(Database &)> &LoadFacts) {
+  SymbolTable Symbols;
+  Database DB(Symbols);
+  RuleSet Rules;
+  ParserResult PR = parseRules(DB, Rules, RuleText, "planner-test");
+  ASSERT_TRUE(PR.Ok) << PR.Error;
+  LoadFacts(DB);
+  NaiveEvaluator Reference(DB, Rules);
+  Reference.run();
+  Evaluator Eval(DB, Rules);
+  ASSERT_EQ(Eval.validate(), "");
+  Eval.run();
+  for (uint32_t Rel = 0; Rel != DB.relationCount(); ++Rel)
+    EXPECT_EQ(test::contentsOf(DB, Rel), Reference.contents(Rel))
+        << Name << ": relation " << DB.relation(RelationId(Rel)).name();
+}
+
+/// A three-way join spelled worst-first: the big relation comes first in
+/// the body, while the planner should start from the tiny filter.
 constexpr const char *AdversarialJoinRules =
     ".decl big(a: symbol, b: symbol)\n"
     ".decl mid(b: symbol, c: symbol)\n"
@@ -181,43 +174,6 @@ struct RuleBuilder {
   }
 };
 
-TEST(JoinPlanner, TextualModeKeepsBodyOrderAndDefersGuards) {
-  SymbolTable Symbols;
-  Database DB(Symbols);
-  DB.declare("big", 2);
-  DB.declare("mid", 2);
-  DB.declare("tiny", 1);
-  DB.declare("q", 2);
-
-  RuleBuilder B(DB);
-  B.R.Head = B.atom("q", {"a", "c"});
-  B.R.Body.push_back(B.atom("big", {"a", "b"}));
-  B.R.Body.push_back(B.atom("mid", {"b", "c"}));
-  B.R.Body.push_back(B.atom("tiny", {"c"}));
-  Constraint C;
-  C.CompareKind = Constraint::Kind::NotEqual;
-  C.Lhs = B.term("a");
-  C.Rhs = B.term("c");
-  B.R.Constraints.push_back(C);
-
-  std::vector<uint32_t> Sizes = {1000, 50, 3, 0};
-  PlanContext Ctx{PlanMode::Textual, Sizes, &DB};
-  JoinPlan Plan = makeJoinPlan(B.R, /*DeltaAtom=*/-1, Ctx);
-  EXPECT_EQ(Plan.PositiveOrder, (std::vector<uint32_t>{0, 1, 2}));
-  EXPECT_EQ(Plan.ReorderDistance, 0u);
-  EXPECT_EQ(Plan.GuardHoistDepth, 0u);
-  // Every guard sits in the last slot, exactly the historical behavior.
-  ASSERT_EQ(Plan.ConstraintsAt.size(), 4u);
-  EXPECT_TRUE(Plan.ConstraintsAt[3].size() == 1 &&
-              Plan.ConstraintsAt[0].empty() && Plan.ConstraintsAt[1].empty() &&
-              Plan.ConstraintsAt[2].empty());
-
-  // The no-context overload is the same textual plan.
-  JoinPlan Legacy = makeJoinPlan(B.R, -1);
-  EXPECT_EQ(Legacy.PositiveOrder, Plan.PositiveOrder);
-  EXPECT_EQ(Legacy.BoundColumns, Plan.BoundColumns);
-}
-
 TEST(JoinPlanner, GreedyOrdersByEstimatedFanout) {
   SymbolTable Symbols;
   Database DB(Symbols);
@@ -235,7 +191,7 @@ TEST(JoinPlanner, GreedyOrdersByEstimatedFanout) {
   // tiny (3 tuples, unbound cost 3) < mid with c bound (sqrt(50) ~ 7) <
   // big with b bound (sqrt(1000) ~ 32): greedy runs the body backwards.
   std::vector<uint32_t> Sizes = {1000, 50, 3, 0};
-  PlanContext Ctx{PlanMode::Greedy, Sizes, &DB};
+  PlanContext Ctx{Sizes, &DB};
   JoinPlan Plan = makeJoinPlan(B.R, /*DeltaAtom=*/-1, Ctx);
   EXPECT_EQ(Plan.PositiveOrder, (std::vector<uint32_t>{2, 1, 0}));
   EXPECT_EQ(Plan.ReorderDistance, 4u); // 2->0, 1->1, 0->2
@@ -249,12 +205,17 @@ TEST(JoinPlanner, GreedyOrdersByEstimatedFanout) {
   EXPECT_EQ(Plan.BoundColumns[2], (std::vector<uint32_t>{1}));
 
   // With equal sizes the first pick is a three-way tie, which must break
-  // toward textual order (strict improvement only); big then binds both
+  // toward body order (strict improvement only); big then binds both
   // of mid's join keys transitively, so greedy decays to the spelled body.
   std::vector<uint32_t> Flat = {10, 10, 10, 0};
-  JoinPlan Tie = makeJoinPlan(B.R, -1, {PlanMode::Greedy, Flat, &DB});
+  JoinPlan Tie = makeJoinPlan(B.R, -1, {Flat, &DB});
   EXPECT_EQ(Tie.PositiveOrder, (std::vector<uint32_t>{0, 1, 2}));
   EXPECT_EQ(Tie.ReorderDistance, 0u);
+
+  // With no statistics at all every atom estimates as empty, so the plan
+  // keeps body order.
+  JoinPlan Blind = makeJoinPlan(B.R, -1);
+  EXPECT_EQ(Blind.PositiveOrder, (std::vector<uint32_t>{0, 1, 2}));
 }
 
 TEST(JoinPlanner, DeltaAtomStaysPinnedFirst) {
@@ -272,8 +233,7 @@ TEST(JoinPlanner, DeltaAtomStaysPinnedFirst) {
   // atom must drive: semi-naive correctness wants every new tc tuple at
   // the join's root exactly once.
   std::vector<uint32_t> Sizes = {5, 100000};
-  JoinPlan Plan = makeJoinPlan(B.R, /*DeltaAtom=*/1,
-                               {PlanMode::Greedy, Sizes, &DB});
+  JoinPlan Plan = makeJoinPlan(B.R, /*DeltaAtom=*/1, {Sizes, &DB});
   EXPECT_EQ(Plan.PositiveOrder, (std::vector<uint32_t>{1, 0}));
   EXPECT_EQ(Plan.ReorderDistance, 0u);
 }
@@ -294,7 +254,7 @@ TEST(JoinPlanner, FullyBoundAtomsBecomeExistenceProbes) {
   // being huge — greedy moves the small generator first and leaves the
   // big relation as a probe.
   std::vector<uint32_t> Sizes = {4, 500000, 0};
-  JoinPlan Plan = makeJoinPlan(B.R, -1, {PlanMode::Greedy, Sizes, &DB});
+  JoinPlan Plan = makeJoinPlan(B.R, -1, {Sizes, &DB});
   EXPECT_EQ(Plan.PositiveOrder, (std::vector<uint32_t>{1, 0}));
   ASSERT_EQ(Plan.BoundColumns.size(), 2u);
   EXPECT_EQ(Plan.BoundColumns[1], (std::vector<uint32_t>{0, 1}));
@@ -326,7 +286,7 @@ TEST(JoinPlanner, IndexStatsSharpenEstimates) {
   std::vector<uint32_t> Sizes = {16, 20, 1, 0};
   // Without an index, the heuristic ranks skewed (4) ahead of uniform
   // (4.5) after seedrel binds x.
-  JoinPlan Blind = makeJoinPlan(B.R, -1, {PlanMode::Greedy, Sizes, &DB});
+  JoinPlan Blind = makeJoinPlan(B.R, -1, {Sizes, &DB});
   EXPECT_EQ(Blind.PositiveOrder, (std::vector<uint32_t>{2, 0, 1}));
 
   // Build the first-column index: now the planner KNOWS skewed fans out
@@ -334,7 +294,7 @@ TEST(JoinPlanner, IndexStatsSharpenEstimates) {
   std::vector<uint32_t> Col0 = {0};
   DB.relation(Skewed).ensureIndex(Col0);
   EXPECT_EQ(DB.relation(Skewed).distinctKeys(Col0), 1u);
-  JoinPlan Informed = makeJoinPlan(B.R, -1, {PlanMode::Greedy, Sizes, &DB});
+  JoinPlan Informed = makeJoinPlan(B.R, -1, {Sizes, &DB});
   EXPECT_EQ(Informed.PositiveOrder, (std::vector<uint32_t>{2, 1, 0}));
 }
 
@@ -357,57 +317,21 @@ TEST(JoinPlanner, GuardsHoistToEarliestBoundSlot) {
   C.Rhs = B.term("y");
   B.R.Constraints.push_back(C);
 
-  // gen (3 tuples) goes first either way; the x != y constraint and the
-  // !blocked(x) negation depend only on gen's variables, so greedy checks
-  // them at slot 1 — before the `other` join — instead of slot 2.
+  // gen (3 tuples) goes first; the x != y constraint and the !blocked(x)
+  // negation depend only on gen's variables, so the plan checks them at
+  // slot 1 — before the `other` join — instead of after the full join.
   std::vector<uint32_t> Sizes = {3, 1000, 2, 0};
-  JoinPlan Greedy = makeJoinPlan(B.R, -1, {PlanMode::Greedy, Sizes, &DB});
-  ASSERT_EQ(Greedy.PositiveOrder.size(), 2u);
-  EXPECT_EQ(Greedy.PositiveOrder[0], 0u);
-  ASSERT_EQ(Greedy.ConstraintsAt.size(), 3u);
-  EXPECT_EQ(Greedy.ConstraintsAt[1].size(), 1u);
-  EXPECT_EQ(Greedy.NegationsAt[1].size(), 1u);
-  EXPECT_EQ(Greedy.GuardHoistDepth, 2u); // two guards, one slot early each
-
-  JoinPlan Textual = makeJoinPlan(B.R, -1, {PlanMode::Textual, Sizes, &DB});
-  EXPECT_EQ(Textual.ConstraintsAt[2].size(), 1u);
-  EXPECT_EQ(Textual.NegationsAt[2].size(), 1u);
-  EXPECT_EQ(Textual.GuardHoistDepth, 0u);
-}
-
-TEST(JoinPlanner, PlanModeParsingAndEnvResolution) {
-  PlanMode M = PlanMode::Auto;
-  EXPECT_TRUE(parsePlanMode("textual", M));
-  EXPECT_EQ(M, PlanMode::Textual);
-  EXPECT_TRUE(parsePlanMode("greedy", M));
-  EXPECT_EQ(M, PlanMode::Greedy);
-  EXPECT_FALSE(parsePlanMode("fastest", M));
-  EXPECT_STREQ(planModeName(PlanMode::Textual), "textual");
-  EXPECT_STREQ(planModeName(PlanMode::Greedy), "greedy");
-
-  // Explicit modes resolve to themselves regardless of the environment.
-  ASSERT_EQ(setenv("JACKEE_PLAN", "textual", /*overwrite=*/1), 0);
-  EXPECT_EQ(resolvePlanMode(PlanMode::Greedy), PlanMode::Greedy);
-  EXPECT_EQ(resolvePlanMode(PlanMode::Auto), PlanMode::Textual);
-  ASSERT_EQ(setenv("JACKEE_PLAN", "greedy", 1), 0);
-  EXPECT_EQ(resolvePlanMode(PlanMode::Auto), PlanMode::Greedy);
-  // Junk and absence both default to greedy.
-  ASSERT_EQ(setenv("JACKEE_PLAN", "not-a-mode", 1), 0);
-  EXPECT_EQ(resolvePlanMode(PlanMode::Auto), PlanMode::Greedy);
-  ASSERT_EQ(unsetenv("JACKEE_PLAN"), 0);
-  EXPECT_EQ(resolvePlanMode(PlanMode::Auto), PlanMode::Greedy);
-
-  // The evaluator resolves Auto at construction.
-  ASSERT_EQ(setenv("JACKEE_PLAN", "textual", 1), 0);
-  SymbolTable Symbols;
-  Database DB(Symbols);
-  RuleSet Rules;
-  ASSERT_TRUE(parseRules(DB, Rules, AdversarialJoinRules, "planner-test").Ok);
-  Evaluator Auto(DB, Rules);
-  EXPECT_EQ(Auto.planMode(), PlanMode::Textual);
-  Evaluator Explicit(DB, Rules, PlanMode::Greedy);
-  EXPECT_EQ(Explicit.planMode(), PlanMode::Greedy);
-  ASSERT_EQ(unsetenv("JACKEE_PLAN"), 0);
+  JoinPlan Plan = makeJoinPlan(B.R, -1, {Sizes, &DB});
+  EXPECT_EQ(Plan.PositiveOrder, (std::vector<uint32_t>{0, 2}));
+  ASSERT_EQ(Plan.ConstraintsAt.size(), 3u);
+  ASSERT_EQ(Plan.NegationsAt.size(), 3u);
+  EXPECT_EQ(Plan.ConstraintsAt[1], (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Plan.NegationsAt[1], (std::vector<uint32_t>{1}));
+  for (uint32_t Slot : {0u, 2u}) {
+    EXPECT_TRUE(Plan.ConstraintsAt[Slot].empty()) << "slot " << Slot;
+    EXPECT_TRUE(Plan.NegationsAt[Slot].empty()) << "slot " << Slot;
+  }
+  EXPECT_EQ(Plan.GuardHoistDepth, 2u); // two guards, one slot early each
 }
 
 TEST(PassPruning, EmptyInputsEmitNoPasses) {
@@ -419,21 +343,39 @@ TEST(PassPruning, EmptyInputsEmitNoPasses) {
                                 ".decl out(a: symbol)\n"
                                 "mid1(x) :- in(x).\n"
                                 "out(x) :- mid1(x).\n";
-  Evaluator::Stats Stats;
-  evaluateWith(PlanMode::Greedy, Chain, [](Database &) {}, &Stats);
+  Evaluator::Stats Stats = statsAfterRun(Chain, [](Database &) {});
   EXPECT_EQ(Stats.RuleEvaluations, 0u);
   EXPECT_EQ(Stats.TuplesDerived, 0u);
   EXPECT_GE(Stats.StratumCount, 1u);
 
   // One seeded fact: exactly one pass per stratum (no delta passes — the
   // body atoms are not in their head's stratum).
-  evaluateWith(PlanMode::Textual, Chain,
-               [](Database &DB) { DB.insertFact("in", {"a"}); }, &Stats);
+  Stats = statsAfterRun(Chain,
+                        [](Database &DB) { DB.insertFact("in", {"a"}); });
   EXPECT_EQ(Stats.RuleEvaluations, 2u);
   EXPECT_EQ(Stats.TuplesDerived, 2u);
 }
 
-TEST(PassPruning, WorkCountersMatchAcrossPlanModes) {
+TEST(DatalogOracle, AdversarialJoinMatchesReference) {
+  expectMatchesReference("adversarial", AdversarialJoinRules, [](Database &DB) {
+    loadAdversarialFacts(DB, 2000, 110, 3);
+  });
+}
+
+TEST(DatalogOracle, PipelineFixturesMatchReference) {
+  // The shapes the pipeline runs hot: wide recursive rounds with many joins
+  // per pass, and a multi-stratum program with negation across strata.
+  expectMatchesReference("tc-wide", TransitiveClosureRules, [](Database &DB) {
+    loadRandomGraph(DB, 100, 400, 17);
+  });
+  expectMatchesReference("bean-wiring", BeanWiringRules, [](Database &DB) {
+    loadBeanFacts(DB, 40, 23);
+  });
+}
+
+TEST(DatalogOracle, CycleWithConstraintMatchesReference) {
+  // A cycle takes several delta rounds to close; the constraint guard is
+  // hoisted ahead of the last join.
   constexpr const char *Rules =
       ".decl edge(a: symbol, b: symbol)\n"
       ".decl tiny(c: symbol)\n"
@@ -442,164 +384,66 @@ TEST(PassPruning, WorkCountersMatchAcrossPlanModes) {
       "path(x, y) :- edge(x, y).\n"
       "path(x, z) :- path(x, y), edge(y, z).\n"
       "capped(x, y) :- path(x, y), tiny(y), x != y.\n";
-  auto Load = [](Database &DB) {
+  expectMatchesReference("cycle", Rules, [](Database &DB) {
     for (int I = 0; I + 1 < 24; ++I)
       DB.insertFact("edge",
                     {"n" + std::to_string(I), "n" + std::to_string(I + 1)});
-    DB.insertFact("edge", {"n23", "n0"}); // cycle: several delta rounds
+    DB.insertFact("edge", {"n23", "n0"});
     DB.insertFact("tiny", {"n3"});
-  };
-
-  Evaluator::Stats Baseline;
-  std::vector<Contents> Expected =
-      evaluateWith(PlanMode::Textual, Rules, Load, &Baseline);
-  Evaluator::Stats Stats;
-  std::vector<Contents> Got =
-      evaluateWith(PlanMode::Greedy, Rules, Load, &Stats);
-  EXPECT_EQ(Got, Expected);
-  EXPECT_EQ(Stats.RuleEvaluations, Baseline.RuleEvaluations);
-  EXPECT_EQ(Stats.TuplesDerived, Baseline.TuplesDerived);
-  EXPECT_EQ(Stats.StratumCount, Baseline.StratumCount);
-  ASSERT_EQ(Stats.Strata.size(), Baseline.Strata.size());
-  for (size_t I = 0; I != Stats.Strata.size(); ++I) {
-    EXPECT_EQ(Stats.Strata[I].Rounds, Baseline.Strata[I].Rounds);
-    EXPECT_EQ(Stats.Strata[I].RuleEvaluations,
-              Baseline.Strata[I].RuleEvaluations);
-    EXPECT_EQ(Stats.Strata[I].TuplesDerived,
-              Baseline.Strata[I].TuplesDerived);
-  }
+  });
 }
 
-TEST(PlanInvariance, AdversarialJoinIdenticalContents) {
-  auto Load = [](Database &DB) { loadAdversarialFacts(DB, 2000, 110, 3); };
-  EXPECT_EQ(evaluateWith(PlanMode::Greedy, AdversarialJoinRules, Load),
-            evaluateWith(PlanMode::Textual, AdversarialJoinRules, Load));
-}
-
-TEST(PlanInvariance, ContentsAndCountersMatchAcrossPlanModes) {
-  // The cost-guided planner may only change how fast the fixpoint is
-  // reached: relation contents, rule×delta pass counts, and derived-tuple
-  // counts are identical to the textual baseline on both pipeline-shaped
-  // fixtures.
-  struct Fixture {
-    const char *Name;
-    const char *Rules;
-    std::function<void(Database &)> Load;
-  };
-  const Fixture Fixtures[] = {
-      {"tc-wide", TransitiveClosureRules,
-       [](Database &DB) { loadRandomGraph(DB, 100, 400, 17); }},
-      {"bean-wiring", BeanWiringRules,
-       [](Database &DB) { loadBeanFacts(DB, 40, 23); }},
-  };
-  for (const Fixture &F : Fixtures) {
-    Evaluator::Stats Baseline;
-    std::vector<Contents> Expected =
-        evaluateWith(PlanMode::Textual, F.Rules, F.Load, &Baseline);
-    Evaluator::Stats Stats;
-    EXPECT_EQ(evaluateWith(PlanMode::Greedy, F.Rules, F.Load, &Stats),
-              Expected)
-        << F.Name;
-    EXPECT_EQ(Stats.RuleEvaluations, Baseline.RuleEvaluations) << F.Name;
-    EXPECT_EQ(Stats.TuplesDerived, Baseline.TuplesDerived) << F.Name;
-    EXPECT_EQ(Stats.StratumCount, Baseline.StratumCount) << F.Name;
-  }
-}
-
-TEST(PlanInvariance, ExplainTreesAreIdenticalAcrossPlanModes) {
-  // Stronger than contents: the canonical derivation of every tuple must
-  // not depend on the join order either. The planner changes enumeration
-  // order within a pass, but the provenance tie-break (lowest rule, then
-  // lexicographically smallest witness contents) is order-free, so
-  // rendered trees coincide across plan modes. Dense tuple *order* does
-  // follow the plan (a round's new tuples are appended in derivation
-  // order), so trees are compared as a sorted set — every tree names its
-  // root tuple in full, which makes that a content-keyed match.
-  auto explainAll = [](PlanMode Plan, const char *RuleText,
-                       const std::function<void(Database &)> &LoadFacts) {
-    SymbolTable Symbols;
-    Database DB(Symbols);
-    RuleSet Rules;
-    ParserResult PR = parseRules(DB, Rules, RuleText, "planner-test");
-    EXPECT_TRUE(PR.Ok) << PR.Error;
-    provenance::ProvenanceRecorder Recorder(DB, Rules);
-    Recorder.beginEpoch("base");
-    LoadFacts(DB);
-    Evaluator Eval(DB, Rules, Plan);
-    EXPECT_EQ(Eval.validate(), "");
-    Eval.setObserver(&Recorder);
-    Eval.run();
-
-    provenance::Explainer Ex(DB, Rules, Recorder);
-    std::vector<std::string> Trees;
-    for (uint32_t Rel = 0; Rel != DB.relationCount(); ++Rel) {
-      const Relation &R = DB.relation(RelationId(Rel));
-      for (uint32_t T = 0; T != R.size(); ++T)
-        Trees.push_back(provenance::Explainer::renderText(
-            Ex.explain(RelationId(Rel), T)));
-    }
-    std::sort(Trees.begin(), Trees.end());
-    return Trees;
-  };
-
-  struct Fixture {
-    const char *Name;
-    const char *Rules;
-    std::function<void(Database &)> Load;
-  };
-  const Fixture Fixtures[] = {
-      {"tc-wide", TransitiveClosureRules,
-       [](Database &DB) { loadRandomGraph(DB, 60, 240, 7); }},
-      {"bean-wiring", BeanWiringRules,
-       [](Database &DB) { loadBeanFacts(DB, 30, 29); }},
-  };
-  for (const Fixture &F : Fixtures) {
-    std::vector<std::string> Expected =
-        explainAll(PlanMode::Textual, F.Rules, F.Load);
-    EXPECT_FALSE(Expected.empty()) << F.Name;
-    EXPECT_EQ(explainAll(PlanMode::Greedy, F.Rules, F.Load), Expected)
-        << F.Name;
-  }
-}
-
-TEST(PlanInvariance, ReRunsDeriveOnlyNewConsequences) {
+TEST(DatalogOracle, ReRunsDeriveOnlyNewConsequences) {
   // The bean-wiring loop re-runs the evaluator after inserting facts; the
-  // planner re-plans each round against the grown relations. Both modes
-  // must converge to the same contents after every re-run. The recursive
+  // planner re-plans each round against the grown relations. The recursive
   // rule also exercises the sequential postings walk under self-inserts
   // (head relation == indexed body relation).
   constexpr const char *Rules = ".decl edge(a: symbol, b: symbol)\n"
                                 ".decl tc(a: symbol, b: symbol)\n"
                                 "tc(x, y) :- edge(x, y).\n"
                                 "tc(x, z) :- edge(x, y), tc(y, z).\n";
-  for (PlanMode Mode : {PlanMode::Textual, PlanMode::Greedy}) {
-    SymbolTable Symbols;
-    Database DB(Symbols);
-    RuleSet Rules1;
-    ASSERT_TRUE(parseRules(DB, Rules1, Rules, "planner-test").Ok);
+  auto loadFirst = [](Database &DB) {
     DB.insertFact("edge", {"a", "a"}); // self loop: same-key inserts
     for (int I = 0; I != 40; ++I)
       DB.insertFact("edge", {"a", "s" + std::to_string(I)});
-    Evaluator Eval(DB, Rules1, Mode);
-    ASSERT_EQ(Eval.validate(), "");
-    Eval.run();
-    uint32_t AfterFirst = DB.relation(DB.find("tc")).size();
-    EXPECT_EQ(AfterFirst, 41u);
-
-    // New edges through the self-loop node: the re-run seed round joins
-    // against the already-populated tc while inserting under key "a".
+  };
+  auto loadSecond = [](Database &DB) {
     for (int I = 0; I != 40; ++I)
       DB.insertFact("edge", {"s" + std::to_string(I), "a"});
-    Eval.run();
-    // Every node reaches every node through a: 41 sources x 41 targets.
-    EXPECT_EQ(DB.relation(DB.find("tc")).size(), 41u * 41u);
-  }
+  };
+
+  SymbolTable Symbols;
+  Database DB(Symbols);
+  RuleSet EngineRules;
+  ASSERT_TRUE(parseRules(DB, EngineRules, Rules, "planner-test").Ok);
+  loadFirst(DB);
+  Evaluator Eval(DB, EngineRules);
+  ASSERT_EQ(Eval.validate(), "");
+  Eval.run();
+  EXPECT_EQ(DB.relation(DB.find("tc")).size(), 41u);
+
+  // New edges through the self-loop node: the re-run seed round joins
+  // against the already-populated tc while inserting under key "a".
+  loadSecond(DB);
+  Eval.run();
+  // Every node reaches every node through a: 41 sources x 41 targets.
+  EXPECT_EQ(DB.relation(DB.find("tc")).size(), 41u * 41u);
+
+  // The reference evaluates the final edge set from scratch, in its own
+  // database over the same symbol table.
+  Database RefDB(Symbols);
+  RuleSet RefRules;
+  ASSERT_TRUE(parseRules(RefDB, RefRules, Rules, "planner-test").Ok);
+  loadFirst(RefDB);
+  loadSecond(RefDB);
+  NaiveEvaluator Reference(RefDB, RefRules);
+  Reference.run();
+  EXPECT_EQ(test::allContentsOf(DB), Reference.allContents());
 }
 
 TEST(EvaluatorStats, PerStratumRecordsAddUp) {
-  Evaluator::Stats Stats;
-  auto Load = [](Database &DB) { loadBeanFacts(DB, 30, 5); };
-  evaluateWith(PlanMode::Greedy, BeanWiringRules, Load, &Stats);
+  Evaluator::Stats Stats = statsAfterRun(
+      BeanWiringRules, [](Database &DB) { loadBeanFacts(DB, 30, 5); });
 
   EXPECT_EQ(Stats.StratumCount, Stats.Strata.size());
   EXPECT_GT(Stats.StratumCount, 1u); // Bean/Wired/Unwired split strata

@@ -14,6 +14,7 @@
 
 #include "core/Session.h"
 #include "provenance/Explain.h"
+#include "synth/SynthApp.h"
 
 #include "gtest/gtest.h"
 
@@ -317,6 +318,41 @@ TEST(IncrementalErrors, UnknownRetractionsLeaveTheCellUsable) {
   EXPECT_EQ(Live->canonicalDigest(), Digest);
   EXPECT_EQ(Live->updateCount(), 0u);
   EXPECT_TRUE(Live->update(CellDelta{}).ok()); // empty delta: no-op
+}
+
+TEST(IncrementalErrors, DeltasThatCannotApplyInOrderLeaveTheCellUntouched) {
+  // Each name is valid against the unedited program, but the delta cannot
+  // apply in order: a class with live subtypes, a method on a class the
+  // same delta retracts, and a method or config retracted twice.
+  AnalysisSession Session;
+  CellResult Live = Session.open(synth::petstoreApp(), AnalysisKind::CI);
+  ASSERT_TRUE(Live.ok()) << Live.error().Message;
+  std::string Digest = Live->canonicalDigest();
+
+  std::vector<CellDelta> Bad(4);
+  Bad[0].RetractClasses = {"java.lang.Object"};
+  Bad[1].RetractClasses = {"shop.CheckoutServlet"};
+  Bad[1].RetractMethods = {{"shop.CheckoutServlet", "doPost"}};
+  Bad[2].RetractMethods = {{"shop.CheckoutServlet", "doPost"},
+                           {"shop.CheckoutServlet", "doPost"}};
+  Bad[3].RetractConfigs = {"web.xml", "web.xml"};
+  for (size_t I = 0; I != Bad.size(); ++I) {
+    AnalysisResult R = Live->update(Bad[I]);
+    ASSERT_FALSE(R.ok()) << "delta " << I;
+    EXPECT_EQ(R.error().Kind, AnalysisErrorKind::InvalidDelta) << "delta " << I;
+    EXPECT_EQ(R.error().Message.find("no longer usable"), std::string::npos)
+        << R.error().Message;
+    EXPECT_EQ(Live->canonicalDigest(), Digest) << "delta " << I;
+    EXPECT_EQ(Live->updateCount(), 0u) << "delta " << I;
+  }
+
+  // The cell still takes a valid delta.
+  CellDelta Good;
+  Good.RetractMethods = {{"shop.CheckoutServlet", "doPost"}};
+  AnalysisResult R = Live->update(Good);
+  ASSERT_TRUE(R.ok()) << R.error().Message;
+  EXPECT_EQ(Live->updateCount(), 1u);
+  EXPECT_NE(Live->canonicalDigest(), Digest);
 }
 
 } // namespace

@@ -2,7 +2,7 @@
 //
 // Part of JackEE-CPP (PLDI'20 "Frameworks and Caches" reproduction).
 //
-// Covers the mmap-able base-program store (src/snapshot/): serialization
+// Covers the base-program store (src/snapshot/): serialization
 // round trips byte-identically, a session cold-started from the store is
 // bit-identical (digest and explain trees) to one that ran the builders,
 // and every rejection path — truncation, bad
@@ -398,7 +398,7 @@ TEST(SnapshotStoreTest, EnvVarResolvesStoreDir) {
 
 TEST(SnapshotStoreTest, MixedSourceMatrixDeterminism) {
   // The store holds ONLY the sound-modulo model, so a matrix that also
-  // needs original-jdk8 interleaves mapped-store and builder snapshots.
+  // needs original-jdk8 interleaves store-read and builder snapshots.
   TempDir Dir;
   snapshot::BaseProgram B =
       snapshot::buildBase(javalib::CollectionModel::SoundModulo);

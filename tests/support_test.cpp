@@ -19,6 +19,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -351,6 +352,36 @@ TEST(EnvTest, SwitchVarReadsOffOnAndPath) {
   EXPECT_TRUE(S.On);
   EXPECT_EQ(S.Path, "out/trace.json");
   EXPECT_FALSE(env::flagVar(Name));
+  ::unsetenv(Name);
+}
+
+TEST(EnvTest, ResolveWorkerCountPrefersExplicitThenEnv) {
+  const char *Name = "JACKEE_TEST_WORKERS";
+  // An explicit count wins over a valid environment value, clamped to 256.
+  ::setenv(Name, "3", 1);
+  EXPECT_EQ(env::resolveWorkerCount(2, Name), 2u);
+  EXPECT_EQ(env::resolveWorkerCount(1000, Name), 256u);
+  // Without one, a valid value is used, both bounds included.
+  EXPECT_EQ(env::resolveWorkerCount(0, Name), 3u);
+  ::setenv(Name, "1", 1);
+  EXPECT_EQ(env::resolveWorkerCount(0, Name), 1u);
+  ::setenv(Name, "256", 1);
+  EXPECT_EQ(env::resolveWorkerCount(0, Name), 256u);
+  ::unsetenv(Name);
+}
+
+TEST(EnvTest, ResolveWorkerCountIgnoresMalformedValues) {
+  const char *Name = "JACKEE_TEST_WORKERS";
+  ::unsetenv(Name);
+  unsigned HW = std::thread::hardware_concurrency();
+  unsigned Default = HW == 0 ? 1u : std::min(HW, 256u);
+  EXPECT_EQ(env::resolveWorkerCount(0, Name), Default);
+  // Junk and out-of-range values fall back to the hardware default.
+  for (const char *Bad :
+       {"", "junk", "4x", "0", "-2", "257", "99999999999999999999"}) {
+    ::setenv(Name, Bad, 1);
+    EXPECT_EQ(env::resolveWorkerCount(0, Name), Default) << "'" << Bad << "'";
+  }
   ::unsetenv(Name);
 }
 
