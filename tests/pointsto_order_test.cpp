@@ -3,7 +3,7 @@
 // Part of JackEE-CPP (PLDI'20 "Frameworks and Caches" reproduction).
 //
 // The staged drain (DESIGN.md §11) fixes the order in which values reach
-// points-to sets. These pins fix three cells' effort counters, set
+// points-to sets. These pins fix four cells' effort counters, set
 // insertion orders and call-graph growth order to recorded values, so a
 // change that claims to keep the propagation order has to reproduce them
 // exactly.
@@ -150,6 +150,20 @@ TEST(PointsToOrderPin, DotCMSCi) {
                 /*LargestVarSet=*/442, /*Nodes=*/9650,
                 /*NodeSetOrderHash=*/5535888807610154912ULL,
                 /*CallGraphOrderHash=*/3028414799396689958ULL});
+}
+
+/// A mid-size object-sensitive cell whose reactions re-fire: many bodies
+/// allocate or move into a variable before the statement that adds a
+/// reaction on it, so the replay at `addReaction` and the round's phase
+/// both meet the same (reaction, value) pairs.
+TEST(PointsToOrderPin, Shopizer2ObjH) {
+  expectPinned({synth::BenchApp::Shopizer, core::AnalysisKind::TwoObjH,
+                /*WorkItems=*/386905, /*Rounds=*/34, /*EdgesAdded=*/113463,
+                /*ReactionsRun=*/49425, /*PluginRounds=*/2,
+                /*SetOrderHash=*/18070502441667038186ULL,
+                /*LargestVarSet=*/222, /*Nodes=*/27310,
+                /*NodeSetOrderHash=*/15273134069072817263ULL,
+                /*CallGraphOrderHash=*/7352641578746377778ULL});
 }
 
 } // namespace
