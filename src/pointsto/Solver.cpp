@@ -9,6 +9,7 @@
 #include "observe/Metrics.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <string_view>
 
@@ -19,7 +20,12 @@ using namespace jackee::pointsto;
 const std::vector<NodeId> Solver::NoInstances;
 
 Solver::Solver(const Program &P, SolverConfig Config)
-    : P(P), Config(Config), Shards(NumShards) {}
+    : P(P), Config(Config), MethodSlotCount(P.methodCount(), FirstVarSlot),
+      VarSlot(P.variableCount()), VarNodes(P.variableCount()),
+      Shards(NumShards) {
+  for (uint32_t V = 0, E = P.variableCount(); V != E; ++V)
+    VarSlot[V] = MethodSlotCount[P.variable(VarId(V)).DeclaringMethod.index()]++;
+}
 
 //===----------------------------------------------------------------------===//
 // Interning
@@ -30,30 +36,40 @@ ValueId Solver::internValue(AllocSiteId Site, CtxId HeapCtx) {
       ValueLookup.insert(packPair(Site.rawValue(), HeapCtx.rawValue()),
                          static_cast<uint32_t>(Values.size()));
   if (Inserted)
-    Values.push_back({Site, HeapCtx});
+    Values.push_back({Site, HeapCtx, CtxId::invalid()});
   return ValueId(Index);
 }
 
-NodeId Solver::internNode(NodeKind Kind, uint32_t A, uint32_t B) {
-  auto [Index, Inserted] = NodeLookup[static_cast<size_t>(Kind)].insert(
-      packPair(A, B), static_cast<uint32_t>(Nodes.size()));
-  if (!Inserted)
-    return NodeId(Index);
+NodeId Solver::newNode(NodeKind Kind, uint32_t A, uint32_t B) {
+  NodeId N(nodeCount());
   Nodes.push_back({Kind, A, B});
   PointsTo.emplace_back();
   Edges.emplace_back();
   Reactions.emplace_back();
-
-  if (Kind == NodeKind::Var) {
-    if (A >= VarNodes.size())
-      VarNodes.resize(std::max<size_t>(P.variableCount(), A + 1));
-    VarNodes[A].push_back(NodeId(Index));
-  }
-  return NodeId(Index);
+  Phased.push_back(0);
+  if (Kind == NodeKind::Var)
+    VarNodes[A].push_back(N);
+  return N;
 }
 
-NodeId Solver::varNode(VarId Var, CtxId Ctx) {
-  return internNode(NodeKind::Var, Var.index(), Ctx.index());
+NodeId Solver::internNode(NodeKind Kind, uint32_t A, uint32_t B) {
+  auto [Index, Inserted] =
+      NodeLookup[static_cast<size_t>(Kind)].insert(packPair(A, B), nodeCount());
+  return Inserted ? newNode(Kind, A, B) : NodeId(Index);
+}
+
+NodeId Solver::varNode(CMethodId CM, VarId Var) {
+  assert(VarSlot.size() == P.variableCount() && "the program gained variables");
+  MethodId Owner = P.variable(Var).DeclaringMethod;
+  if (Owner != CMethods[CM.index()].M)
+    // A statement naming another method's variable: the node is that
+    // method's, under the same context.
+    CM = internCMethod(Owner, CMethods[CM.index()].Ctx);
+  const CMethod &C = CMethods[CM.index()];
+  NodeId &Slot = Slots[C.FirstSlot + VarSlot[Var.index()]];
+  if (!Slot.isValid())
+    Slot = newNode(NodeKind::Var, Var.index(), C.Ctx.index());
+  return Slot;
 }
 NodeId Solver::fieldNode(ValueId Base, FieldId F) {
   return internNode(NodeKind::ObjectField, Base.index(), F.index());
@@ -65,19 +81,37 @@ NodeId Solver::staticNode(FieldId F) {
   return internNode(NodeKind::StaticField, F.index(), 0);
 }
 NodeId Solver::throwNode(CMethodId CM) {
-  return internNode(NodeKind::MethodThrow, CM.index(), 0);
+  NodeId &Slot = Slots[CMethods[CM.index()].FirstSlot + ThrowSlot];
+  if (!Slot.isValid())
+    Slot = newNode(NodeKind::MethodThrow, CM.index(), 0);
+  return Slot;
 }
 NodeId Solver::catchNode(CMethodId CM) {
-  return internNode(NodeKind::CatchDispatch, CM.index(), 0);
+  NodeId &Slot = Slots[CMethods[CM.index()].FirstSlot + CatchSlot];
+  if (!Slot.isValid())
+    Slot = newNode(NodeKind::CatchDispatch, CM.index(), 0);
+  return Slot;
 }
 
 CMethodId Solver::internCMethod(MethodId M, CtxId Ctx) {
+  assert(MethodSlotCount.size() == P.methodCount() &&
+         "the program gained methods");
   auto [Index, Inserted] =
       CMethodLookup.insert(packPair(M.rawValue(), Ctx.rawValue()),
                            static_cast<uint32_t>(CMethods.size()));
-  if (Inserted)
-    CMethods.push_back({M, Ctx});
+  if (Inserted) {
+    CMethods.push_back({M, Ctx, static_cast<uint32_t>(Slots.size())});
+    Slots.resize(Slots.size() + MethodSlotCount[M.index()]);
+  }
   return CMethodId(Index);
+}
+
+CtxId Solver::receiverCtx(ValueId V) {
+  CtxId &Ctx = Values[V.index()].ReceiverCtx;
+  if (!Ctx.isValid())
+    Ctx = Ctxs.appendAndTruncate(valueHeapCtx(V), valueSiteId(V),
+                                 Config.ContextDepth);
+  return Ctx;
 }
 
 //===----------------------------------------------------------------------===//
@@ -115,9 +149,13 @@ void Solver::addEdge(NodeId From, NodeId To, TypeId Filter) {
   }
 }
 
-void Solver::addReaction(NodeId N, Reaction R) {
+void Solver::addReaction(Reaction::Kind Kind, const Statement &S,
+                         CMethodId CM) {
+  NodeId N = varNode(CM, S.Base);
+  const Reaction R{Kind, static_cast<uint32_t>(PointsTo[N.index()].size()),
+                   &S, CM};
   Reactions[N.index()].push_back(R);
-  for (size_t I = 0, E = PointsTo[N.index()].size(); I != E; ++I)
+  for (uint32_t I = 0; I != R.ReplayedUpTo; ++I)
     applyReaction(R, ValueId(PointsTo[N.index()][I]));
 }
 
@@ -125,44 +163,38 @@ void Solver::applyReaction(const Reaction &R, ValueId V) {
   const Statement &S = *R.Stmt;
   switch (R.RKind) {
   case Reaction::Kind::LoadBase:
-    addEdge(fieldNode(V, S.FieldRef), varNode(S.Dst, R.Ctx));
+    addEdge(fieldNode(V, S.FieldRef), varNode(R.CallerCM, S.Dst));
     return;
   case Reaction::Kind::StoreBase:
-    addEdge(varNode(S.Src, R.Ctx), fieldNode(V, S.FieldRef));
+    addEdge(varNode(R.CallerCM, S.Src), fieldNode(V, S.FieldRef));
     return;
   case Reaction::Kind::ArrayLoadBase:
-    addEdge(arrayNode(V), varNode(S.Dst, R.Ctx));
+    addEdge(arrayNode(V), varNode(R.CallerCM, S.Dst));
     return;
   case Reaction::Kind::ArrayStoreBase:
-    addEdge(varNode(S.Src, R.Ctx), arrayNode(V));
+    addEdge(varNode(R.CallerCM, S.Src), arrayNode(V));
     return;
   case Reaction::Kind::VirtualCall: {
     MethodId Target = P.resolveVirtual(valueType(V), S.CalleeSignature);
     if (!Target.isValid())
       return; // no concrete implementation on this receiver type
-    CtxId CalleeCtx = Ctxs.appendAndTruncate(valueHeapCtx(V), valueSiteId(V),
-                                             Config.ContextDepth);
-    wireCall(S, R.Ctx, R.CallerCM, Target, CalleeCtx, V);
+    wireCall(S, R.CallerCM, Target, receiverCtx(V), V);
     return;
   }
-  case Reaction::Kind::SpecialCall: {
+  case Reaction::Kind::SpecialCall:
     // Fixed target, but the callee context is still derived from the
     // receiver object (object sensitivity analyzes constructors under the
     // allocated object's context).
-    CtxId CalleeCtx = Ctxs.appendAndTruncate(valueHeapCtx(V), valueSiteId(V),
-                                             Config.ContextDepth);
-    wireCall(S, R.Ctx, R.CallerCM, S.DirectCallee, CalleeCtx, V);
+    wireCall(S, R.CallerCM, S.DirectCallee, receiverCtx(V), V);
     return;
-  }
   }
 }
 
 void Solver::dispatchCatch(CMethodId CM, ValueId V) {
   const Method &M = P.method(CMethods[CM.index()].M);
-  CtxId Ctx = CMethods[CM.index()].Ctx;
   for (const CatchClause &Clause : M.Catches) {
     if (P.isSubtype(valueType(V), Clause.CaughtType)) {
-      propagate(varNode(Clause.Var, Ctx), V);
+      propagate(varNode(CM, Clause.Var), V);
       return; // first matching handler catches (Java semantics)
     }
   }
@@ -200,15 +232,15 @@ void Solver::processBody(CMethodId CM) {
     case Opcode::Alloc:
     case Opcode::StringConst: {
       CtxId HeapCtx = Ctxs.truncate(Ctx, Config.HeapDepth);
-      propagate(varNode(S.Dst, Ctx), internValue(S.Site, HeapCtx));
+      propagate(varNode(CM, S.Dst), internValue(S.Site, HeapCtx));
       break;
     }
     case Opcode::Move:
-      addEdge(varNode(S.Src, Ctx), varNode(S.Dst, Ctx));
+      addEdge(varNode(CM, S.Src), varNode(CM, S.Dst));
       break;
     case Opcode::Cast: {
-      NodeId SrcNode = varNode(S.Src, Ctx);
-      addEdge(SrcNode, varNode(S.Dst, Ctx), S.TypeRef);
+      NodeId SrcNode = varNode(CM, S.Src);
+      addEdge(SrcNode, varNode(CM, S.Dst), S.TypeRef);
       auto [Index, Inserted] = CastIndex.insert(
           packPair(MId.index(), SI), static_cast<uint32_t>(Casts.size()));
       if (Inserted)
@@ -218,50 +250,44 @@ void Solver::processBody(CMethodId CM) {
       break;
     }
     case Opcode::Load:
-      addReaction(varNode(S.Base, Ctx),
-                  {Reaction::Kind::LoadBase, &S, Ctx, CM});
+      addReaction(Reaction::Kind::LoadBase, S, CM);
       break;
     case Opcode::Store:
-      addReaction(varNode(S.Base, Ctx),
-                  {Reaction::Kind::StoreBase, &S, Ctx, CM});
+      addReaction(Reaction::Kind::StoreBase, S, CM);
       break;
     case Opcode::ArrayLoad:
-      addReaction(varNode(S.Base, Ctx),
-                  {Reaction::Kind::ArrayLoadBase, &S, Ctx, CM});
+      addReaction(Reaction::Kind::ArrayLoadBase, S, CM);
       break;
     case Opcode::ArrayStore:
-      addReaction(varNode(S.Base, Ctx),
-                  {Reaction::Kind::ArrayStoreBase, &S, Ctx, CM});
+      addReaction(Reaction::Kind::ArrayStoreBase, S, CM);
       break;
     case Opcode::StaticLoad:
-      addEdge(staticNode(S.FieldRef), varNode(S.Dst, Ctx));
+      addEdge(staticNode(S.FieldRef), varNode(CM, S.Dst));
       break;
     case Opcode::StaticStore:
-      addEdge(varNode(S.Src, Ctx), staticNode(S.FieldRef));
+      addEdge(varNode(CM, S.Src), staticNode(S.FieldRef));
       break;
     case Opcode::VirtualCall:
-      addReaction(varNode(S.Base, Ctx),
-                  {Reaction::Kind::VirtualCall, &S, Ctx, CM});
+      addReaction(Reaction::Kind::VirtualCall, S, CM);
       break;
     case Opcode::SpecialCall:
-      addReaction(varNode(S.Base, Ctx),
-                  {Reaction::Kind::SpecialCall, &S, Ctx, CM});
+      addReaction(Reaction::Kind::SpecialCall, S, CM);
       break;
     case Opcode::StaticCall:
       // Static calls inherit the caller's context (Doop's default).
-      wireCall(S, Ctx, CM, S.DirectCallee, Ctx, ValueId::invalid());
+      wireCall(S, CM, S.DirectCallee, Ctx, ValueId::invalid());
       break;
     case Opcode::Return:
       break; // wired per established call edge
     case Opcode::Throw:
-      addEdge(varNode(S.Src, Ctx), catchNode(CM));
+      addEdge(varNode(CM, S.Src), catchNode(CM));
       break;
     }
   }
 }
 
-void Solver::wireCall(const Statement &S, CtxId CallerCtx, CMethodId CallerCM,
-                      MethodId Callee, CtxId CalleeCtx, ValueId Receiver) {
+void Solver::wireCall(const Statement &S, CMethodId CallerCM, MethodId Callee,
+                      CtxId CalleeCtx, ValueId Receiver) {
   const Method &CalleeM = P.method(Callee);
   if (CalleeM.IsAbstract)
     return;
@@ -274,19 +300,19 @@ void Solver::wireCall(const Statement &S, CtxId CallerCtx, CMethodId CallerCM,
     CallEdges.push_back(CallEdge);
 
   if (Receiver.isValid() && CalleeM.This.isValid())
-    propagate(varNode(CalleeM.This, CalleeCtx), Receiver);
+    propagate(varNode(CalleeCM, CalleeM.This), Receiver);
 
   size_t ArgCount = std::min(S.Args.size(), CalleeM.Params.size());
   for (size_t I = 0; I != ArgCount; ++I)
     if (S.Args[I].isValid())
-      addEdge(varNode(S.Args[I], CallerCtx),
-              varNode(CalleeM.Params[I], CalleeCtx));
+      addEdge(varNode(CallerCM, S.Args[I]),
+              varNode(CalleeCM, CalleeM.Params[I]));
 
   if (S.Dst.isValid())
     for (const Statement &CalleeStmt : CalleeM.Statements)
       if (CalleeStmt.Op == Opcode::Return && CalleeStmt.Src.isValid())
-        addEdge(varNode(CalleeStmt.Src, CalleeCtx),
-                varNode(S.Dst, CallerCtx));
+        addEdge(varNode(CalleeCM, CalleeStmt.Src),
+                varNode(CallerCM, S.Dst));
 
   // Exceptions escaping the callee reach the caller's catch routing.
   addEdge(throwNode(CalleeCM), catchNode(CallerCM));
@@ -297,7 +323,8 @@ void Solver::wireCall(const Statement &S, CtxId CallerCtx, CMethodId CallerCM,
 //===----------------------------------------------------------------------===//
 
 void Solver::seedVar(VarId Var, CtxId Ctx, ValueId V) {
-  propagate(varNode(Var, Ctx), V);
+  propagate(varNode(internCMethod(P.variable(Var).DeclaringMethod, Ctx), Var),
+            V);
 }
 
 void Solver::seedVarAllContexts(VarId Var, ValueId V) {
@@ -319,11 +346,18 @@ void Solver::phaseShard(uint32_t ShardIndex) {
   for (const WorkItem &Item : S.Current) {
     const uint32_t NIdx = Item.N.index();
     const ValueId V = Item.V;
+    // A node's items sit on one FIFO queue, so they are phased in the
+    // order their values entered its set.
+    const uint32_t Pos = Phased[NIdx]++;
+    assert(PointsTo[NIdx][Pos] == V.rawValue() && "items out of set order");
     for (const Edge &E : Edges[NIdx])
       if (passesFilter(V, E.Filter))
         propagate(E.Target, V);
+    // A reaction added after V entered the set fired for V then; firing it
+    // again would only find nodes, edges and calls that exist.
     for (const Reaction &R : Reactions[NIdx])
-      S.StagedReactions.push_back({R, V});
+      if (Pos >= R.ReplayedUpTo)
+        S.StagedReactions.push_back({R, V});
     if (Nodes[NIdx].Kind == NodeKind::CatchDispatch)
       S.StagedCatches.push_back({CMethodId(Nodes[NIdx].A), V});
   }

@@ -247,11 +247,13 @@ public:
 private:
   // --- Graph node model ---------------------------------------------------
 
+  /// The first three kinds are interned by hashing (A, B); the others
+  /// live in their context-qualified method's slot block.
   enum class NodeKind : uint8_t {
-    Var,           ///< (VarId, CtxId)
     ObjectField,   ///< (ValueId, FieldId)
     ArrayContents, ///< (ValueId)
     StaticField,   ///< (FieldId)
+    Var,           ///< (VarId, CtxId)
     MethodThrow,   ///< (CMethodId) — exceptions escaping the method
     CatchDispatch, ///< (CMethodId) — thrown values awaiting catch routing
   };
@@ -267,8 +269,8 @@ private:
     ir::TypeId Filter; ///< invalid = unconditional
   };
 
-  /// Deferred behaviors attached to variable nodes, fired per arriving
-  /// object.
+  /// Deferred behaviors attached to variable nodes, fired once per object
+  /// of the base's set.
   struct Reaction {
     enum class Kind : uint8_t {
       LoadBase,      ///< Dst = Base.F
@@ -279,10 +281,14 @@ private:
       SpecialCall,   ///< fixed target, receiver-contextualized
     };
     Kind RKind;
+    /// The base set's size when the reaction was added. `addReaction`
+    /// fired it for the objects before that position; the phase fires it
+    /// for the rest.
+    uint32_t ReplayedUpTo;
     const ir::Statement *Stmt;
-    CtxId Ctx;          ///< caller context
-    CMethodId CallerCM; ///< for call wiring (exception edges)
+    CMethodId CallerCM; ///< the statement's (method, context)
   };
+  static_assert(sizeof(Reaction) == 24, "staged per firing; keep it small");
 
   // --- Round-based worklist (DESIGN.md §11) -------------------------------
 
@@ -297,6 +303,7 @@ private:
     NodeId N;
     ValueId V;
   };
+  static_assert(sizeof(WorkItem) == 8, "one per (node, value) insertion");
   struct StagedReaction {
     Reaction R;
     ValueId V;
@@ -316,8 +323,12 @@ private:
     std::vector<StagedCatch> StagedCatches;
   };
 
+  /// Appends a node with empty per-node state.
+  NodeId newNode(NodeKind Kind, uint32_t A, uint32_t B);
+  /// Finds or appends a node of a hashed kind.
   NodeId internNode(NodeKind Kind, uint32_t A, uint32_t B);
-  NodeId varNode(ir::VarId Var, CtxId Ctx);
+  /// \p Var under the context of \p CM, whose method declares it.
+  NodeId varNode(CMethodId CM, ir::VarId Var);
   NodeId fieldNode(ValueId Base, ir::FieldId F);
   NodeId arrayNode(ValueId Base);
   NodeId staticNode(ir::FieldId F);
@@ -325,12 +336,17 @@ private:
   NodeId catchNode(CMethodId CM);
 
   CMethodId internCMethod(ir::MethodId M, CtxId Ctx);
+  /// `suffix(heapCtx(V) ++ [site(V)], K)`: the context of a call on \p V.
+  CtxId receiverCtx(ValueId V);
   /// `makeReachable` for an interned (method, ctx).
   void markReachable(CMethodId CM);
 
   void propagate(NodeId N, ValueId V);
   void addEdge(NodeId From, NodeId To, ir::TypeId Filter = ir::TypeId::invalid());
-  void addReaction(NodeId N, Reaction R);
+  /// Attaches a reaction of \p S's kind to \p S's base under \p CM and
+  /// fires it for the base's current set.
+  void addReaction(Reaction::Kind Kind, const ir::Statement &S,
+                   CMethodId CM);
   void applyReaction(const Reaction &R, ValueId V);
   void dispatchCatch(CMethodId CM, ValueId V);
 
@@ -346,7 +362,7 @@ private:
 
   /// Establishes a call edge: reachability, receiver/argument/return/
   /// exception wiring, call-graph recording.
-  void wireCall(const ir::Statement &S, CtxId CallerCtx, CMethodId CallerCM,
+  void wireCall(const ir::Statement &S, CMethodId CallerCM,
                 ir::MethodId Callee, CtxId CalleeCtx, ValueId Receiver);
 
   bool passesFilter(ValueId V, ir::TypeId Filter) const;
@@ -359,29 +375,44 @@ private:
   struct ValueKey {
     ir::AllocSiteId Site;
     CtxId HeapCtx;
+    CtxId ReceiverCtx; ///< `receiverCtx`, invalid until first asked
   };
   std::vector<ValueKey> Values;
   FlatMap ValueLookup;
 
-  // Node interning: one exact map per kind, keyed by packPair(A, B).
-  static constexpr size_t NumNodeKinds =
-      static_cast<size_t>(NodeKind::CatchDispatch) + 1; // the last kind
+  // Node interning of the hashed kinds: one exact map per kind, keyed by
+  // packPair(A, B).
+  static constexpr size_t NumHashedKinds =
+      static_cast<size_t>(NodeKind::StaticField) + 1;
   std::vector<Node> Nodes;
-  std::array<FlatMap, NumNodeKinds> NodeLookup;
+  std::array<FlatMap, NumHashedKinds> NodeLookup;
 
-  // CMethod interning.
+  // CMethod interning. Each (method, context) owns a block of node slots in
+  // `Slots`: its throw node, its catch node, then one per variable its
+  // method declares. A slot stays invalid until its node is first asked
+  // for, so node ids keep their first-request order.
+  static constexpr uint32_t ThrowSlot = 0, CatchSlot = 1, FirstVarSlot = 2;
   struct CMethod {
     ir::MethodId M;
     CtxId Ctx;
+    uint32_t FirstSlot; ///< index of the block in `Slots`
   };
   std::vector<CMethod> CMethods;
   FlatMap CMethodLookup;
+  std::vector<NodeId> Slots;
+  // Fixed for the solver's lifetime: the program gains no methods or
+  // variables while a solver lives (plugins add only allocation sites).
+  std::vector<uint32_t> MethodSlotCount; ///< by MethodId
+  std::vector<uint32_t> VarSlot;         ///< by VarId, within its block
 
   // Per-node state (indexed by NodeId). An edge is unique by (Target,
-  // Filter) within its source's vector.
+  // Filter) within its source's vector. `Phased` counts the node's work
+  // items phased so far: items are phased in insertion order, so it is the
+  // position of the next one in the node's set.
   std::vector<InsertOrderSet> PointsTo;
   std::vector<std::vector<Edge>> Edges;
   std::vector<std::vector<Reaction>> Reactions;
+  std::vector<uint32_t> Phased;
 
   // Var -> its context instances.
   std::vector<std::vector<NodeId>> VarNodes;

@@ -121,7 +121,7 @@ void expectPinned(const OrderPin &Pin) {
 TEST(PointsToOrderPin, WebGoat2ObjH) {
   expectPinned({synth::BenchApp::WebGoat, core::AnalysisKind::TwoObjH,
                 /*WorkItems=*/47307, /*Rounds=*/33, /*EdgesAdded=*/20309,
-                /*ReactionsRun=*/10165, /*PluginRounds=*/2,
+                /*ReactionsRun=*/7716, /*PluginRounds=*/2,
                 /*SetOrderHash=*/12890229860717409760ULL,
                 /*LargestVarSet=*/62, /*Nodes=*/9076,
                 /*NodeSetOrderHash=*/17559045104955714570ULL,
@@ -131,7 +131,7 @@ TEST(PointsToOrderPin, WebGoat2ObjH) {
 TEST(PointsToOrderPin, PybbsMod2ObjH) {
   expectPinned({synth::BenchApp::Pybbs, core::AnalysisKind::Mod2ObjH,
                 /*WorkItems=*/23103, /*Rounds=*/28, /*EdgesAdded=*/12811,
-                /*ReactionsRun=*/5488, /*PluginRounds=*/2,
+                /*ReactionsRun=*/3819, /*PluginRounds=*/2,
                 /*SetOrderHash=*/4174156672662490441ULL,
                 /*LargestVarSet=*/73, /*Nodes=*/4580,
                 /*NodeSetOrderHash=*/4701208184883648524ULL,
@@ -145,7 +145,7 @@ TEST(PointsToOrderPin, PybbsMod2ObjH) {
 TEST(PointsToOrderPin, DotCMSCi) {
   expectPinned({synth::BenchApp::DotCMS, core::AnalysisKind::CI,
                 /*WorkItems=*/405272, /*Rounds=*/29, /*EdgesAdded=*/32691,
-                /*ReactionsRun=*/48369, /*PluginRounds=*/2,
+                /*ReactionsRun=*/46992, /*PluginRounds=*/2,
                 /*SetOrderHash=*/8802010730966064784ULL,
                 /*LargestVarSet=*/442, /*Nodes=*/9650,
                 /*NodeSetOrderHash=*/5535888807610154912ULL,
@@ -159,7 +159,7 @@ TEST(PointsToOrderPin, DotCMSCi) {
 TEST(PointsToOrderPin, Shopizer2ObjH) {
   expectPinned({synth::BenchApp::Shopizer, core::AnalysisKind::TwoObjH,
                 /*WorkItems=*/386905, /*Rounds=*/34, /*EdgesAdded=*/113463,
-                /*ReactionsRun=*/49425, /*PluginRounds=*/2,
+                /*ReactionsRun=*/36449, /*PluginRounds=*/2,
                 /*SetOrderHash=*/18070502441667038186ULL,
                 /*LargestVarSet=*/222, /*Nodes=*/27310,
                 /*NodeSetOrderHash=*/15273134069072817263ULL,

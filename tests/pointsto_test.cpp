@@ -560,6 +560,97 @@ TEST_F(SolverTest, InternalReceiverWeakensContext) {
   EXPECT_EQ(siteCount(*S0, Y), 2u);
 }
 
+/// A reaction fires once per object of its base's set: `addReaction` fires
+/// it for the objects already there, and the round's phase for every later
+/// one, including those the replay itself adds. `ReactionsRun` counts the
+/// phase's firings only.
+class SolverReplay : public SolverTest {
+protected:
+  /// The labels of \p V's objects in insertion order; \p V has one
+  /// context instance.
+  static std::vector<std::string> orderedSitesOf(const Solver &S, VarId V) {
+    std::vector<std::string> Labels;
+    const std::vector<NodeId> &Instances = S.varInstances(V);
+    EXPECT_EQ(Instances.size(), 1u);
+    if (Instances.empty())
+      return Labels;
+    for (uint32_t Raw : S.pointsTo(Instances.front()))
+      Labels.push_back(
+          S.program().symbols().text(S.valueSite(ValueId(Raw)).Label));
+    return Labels;
+  }
+};
+
+TEST_F(SolverReplay, PresentValueFiresAtAddReaction) {
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  TypeId Pay = P.addClass("Pay", TypeKind::Class, Object);
+  // Object get() { p = new Pay; return p; }
+  MethodBuilder Get = P.addMethod(A, "get", {}, Object);
+  VarId PV = Get.local("p", Pay);
+  Get.alloc(PV, Pay).ret(PV);
+  // x = new A; r = x.get();
+  MethodBuilder Main = P.addMethod(A, "main", {}, TypeId::invalid(), true);
+  VarId X = Main.local("x", A), R = Main.local("r", Object);
+  Main.alloc(X, A).virtualCall(R, X, "get", {}, {});
+
+  auto S = analyze(Main.id(), 0, 0);
+  EXPECT_EQ(orderedSitesOf(*S, X), std::vector<std::string>{"A.main/new0"});
+  EXPECT_EQ(orderedSitesOf(*S, R), std::vector<std::string>{"A.get/new0"});
+  EXPECT_EQ(S->callGraphEdges().size(), 1u);
+  EXPECT_EQ(S->stats().ReactionsRun, 0u);
+}
+
+TEST_F(SolverReplay, LaterValueFiresInPhase) {
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  TypeId Pay = P.addClass("Pay", TypeKind::Class, Object);
+  MethodBuilder Get = P.addMethod(A, "get", {}, Object);
+  VarId PV = Get.local("p", Pay);
+  Get.alloc(PV, Pay).ret(PV);
+  // r = x.get(); x = new A;  -- the reaction is added on an empty set.
+  MethodBuilder Main = P.addMethod(A, "main", {}, TypeId::invalid(), true);
+  VarId X = Main.local("x", A), R = Main.local("r", Object);
+  Main.virtualCall(R, X, "get", {}, {}).alloc(X, A);
+
+  auto S = analyze(Main.id(), 0, 0);
+  EXPECT_EQ(orderedSitesOf(*S, X), std::vector<std::string>{"A.main/new1"});
+  EXPECT_EQ(orderedSitesOf(*S, R), std::vector<std::string>{"A.get/new0"});
+  EXPECT_EQ(S->callGraphEdges().size(), 1u);
+  EXPECT_EQ(S->stats().ReactionsRun, 1u);
+}
+
+/// The replay of `x = x.next()` returns a new object into `x` itself, at
+/// the position the reaction's replay stopped at; only the phase can fire
+/// the reaction for it.
+TEST_F(SolverReplay, ValueArrivingDuringReplayFiresInPhase) {
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  TypeId B = P.addClass("B", TypeKind::Class, A);
+  TypeId C = P.addClass("C", TypeKind::Class, A);
+  // A.next() { t = new B; return t; }
+  MethodBuilder NextA = P.addMethod(A, "next", {}, A);
+  VarId T = NextA.local("t", B);
+  NextA.alloc(T, B).ret(T);
+  // B.next() { u = new C; return u; }  -- C inherits A.next.
+  MethodBuilder NextB = P.addMethod(B, "next", {}, A);
+  VarId U = NextB.local("u", C);
+  NextB.alloc(U, C).ret(U);
+  // x = new A; x = x.next();
+  MethodBuilder Main = P.addMethod(A, "main", {}, TypeId::invalid(), true);
+  VarId X = Main.local("x", A);
+  Main.alloc(X, A).virtualCall(X, X, "next", {}, {});
+
+  auto S = analyze(Main.id(), 0, 0);
+  EXPECT_EQ(orderedSitesOf(*S, X),
+            (std::vector<std::string>{"A.main/new0", "A.next/new0",
+                                      "B.next/new0"}));
+  EXPECT_EQ(orderedSitesOf(*S, NextA.thisVar()),
+            (std::vector<std::string>{"A.main/new0", "B.next/new0"}));
+  EXPECT_EQ(orderedSitesOf(*S, NextB.thisVar()),
+            std::vector<std::string>{"A.next/new0"});
+  EXPECT_EQ(S->callGraphEdges().size(), 2u);
+  // The A.next object at position 1 and the B.next one at position 2.
+  EXPECT_EQ(S->stats().ReactionsRun, 2u);
+}
+
 /// Property sweep: deeper contexts are never less precise on this family of
 /// programs (N independent container objects exchanging payloads).
 class ContextDepthSweep
