@@ -556,6 +556,9 @@ bool validateProgramRefs(const DecodedProgram &P, size_t SymbolCount) {
     if (!allOk(F.Annotations, [&](Symbol S) { return okId(S, SymbolCount); }))
       return false;
   }
+  // The builders create every parameter variable and give every variable
+  // its declaring method: the solver wires parameters and finds a
+  // variable's nodes through its method unchecked.
   for (const ir::Method &M : P.Methods) {
     if (!okId(M.Name, SymbolCount) || !okId(M.DeclaringType, NT) ||
         !okId(M.ReturnType, NT) || !okId(M.SignatureKey, SymbolCount) ||
@@ -563,7 +566,8 @@ bool validateProgramRefs(const DecodedProgram &P, size_t SymbolCount) {
       return false;
     if (!allOk(M.ParamTypes, [&](ir::TypeId X) { return okId(X, NT); }) ||
         !allOk(M.Annotations, [&](Symbol S) { return okId(S, SymbolCount); }) ||
-        !allOk(M.Params, [&](ir::VarId V) { return okId(V, NV); }))
+        !allOk(M.Params,
+               [&](ir::VarId V) { return V.isValid() && V.index() < NV; }))
       return false;
     for (const ir::Statement &S : M.Statements) {
       if (!hasRequiredOperands(S))
@@ -582,8 +586,8 @@ bool validateProgramRefs(const DecodedProgram &P, size_t SymbolCount) {
         return false;
   }
   for (const ir::Variable &V : P.Variables)
-    if (!okId(V.Name, SymbolCount) || !okId(V.DeclaringMethod, NM) ||
-        !okId(V.DeclaredType, NT))
+    if (!okId(V.Name, SymbolCount) || !V.DeclaringMethod.isValid() ||
+        V.DeclaringMethod.index() >= NM || !okId(V.DeclaredType, NT))
       return false;
   for (const ir::AllocSite &S : P.Sites)
     if (!okId(S.ObjectType, NT) || !okId(S.InMethod, NM) ||

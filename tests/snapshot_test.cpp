@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -189,6 +190,28 @@ ir::Method &firstBody(ir::Program &P) {
   return P.method(ir::MethodId(0));
 }
 
+ir::Method &firstWithParams(ir::Program &P) {
+  for (uint32_t M = 0; M != P.methodCount(); ++M)
+    if (!P.method(ir::MethodId(M)).Params.empty())
+      return P.method(ir::MethodId(M));
+  ADD_FAILURE() << "no method with parameters";
+  return P.method(ir::MethodId(0));
+}
+
+/// Replaces \p B's program by a copy whose variable table went through
+/// \p Edit: `ir::Program` hands out no mutable variables.
+void editVariables(snapshot::BaseProgram &B,
+                   void (*Edit)(std::vector<ir::Variable> &)) {
+  const ir::Program &Old = *B.Base;
+  std::vector<ir::Variable> Variables = Old.variableTable();
+  Edit(Variables);
+  auto New = std::make_unique<ir::Program>(*B.Symbols);
+  New->restoreTables(Old.typeTable(), Old.fieldTable(), Old.methodTable(),
+                     std::move(Variables), Old.allocSiteTable(),
+                     Old.invokeTable());
+  B.Base = std::move(New);
+}
+
 TEST(SnapshotStoreTest, RejectionPathsFallBackCleanly) {
   constexpr javalib::CollectionModel Model =
       javalib::CollectionModel::SoundModulo;
@@ -210,15 +233,17 @@ TEST(SnapshotStoreTest, RejectionPathsFallBackCleanly) {
   }
 
   // A corruption either damages the image's bytes, or changes its base
-  // program and re-encodes it with a valid digest. The program defects
-  // leave every id in range, so only the per-opcode operand check, the
-  // opcode and type-kind range checks, or the supertype-order and
-  // array-element checks can reject them.
+  // program (its variable table included) and re-encodes it with a valid
+  // digest. The program defects leave every id in range, so only the
+  // per-opcode operand check, the opcode and type-kind range checks, the
+  // supertype-order and array-element checks, or the present-parameter
+  // and declaring-method checks can reject them.
   using ir::Opcode;
   struct Corruption {
     const char *Name;
     void (*Bytes)(std::vector<uint8_t> &);
     void (*Program)(ir::Program &) = nullptr;
+    void (*Variables)(std::vector<ir::Variable> &) = nullptr;
   };
   const Corruption Cases[] = {
       {"truncated", [](std::vector<uint8_t> &I) { I.resize(I.size() / 2); }},
@@ -309,6 +334,14 @@ TEST(SnapshotStoreTest, RejectionPathsFallBackCleanly) {
          P.type(ir::TypeId(0)).Kind = static_cast<ir::TypeKind>(
              static_cast<uint8_t>(ir::TypeKind::Primitive) + 1);
        }},
+      {"parameter without variable", nullptr,
+       [](ir::Program &P) {
+         firstWithParams(P).Params[0] = ir::VarId::invalid();
+       }},
+      {"variable without declaring method", nullptr, nullptr,
+       [](std::vector<ir::Variable> &Variables) {
+         Variables.at(0).DeclaringMethod = ir::MethodId::invalid();
+       }},
   };
   for (const Corruption &C : Cases) {
     SCOPED_TRACE(C.Name);
@@ -318,7 +351,10 @@ TEST(SnapshotStoreTest, RejectionPathsFallBackCleanly) {
     } else {
       snapshot::LoadResult Decoded = snapshot::deserialize(Bad, Model);
       ASSERT_TRUE(Decoded.ok()) << Decoded.Warning;
-      C.Program(*Decoded.Data->Base);
+      if (C.Program)
+        C.Program(*Decoded.Data->Base);
+      else
+        editVariables(*Decoded.Data, C.Variables);
       Bad = snapshot::serialize(*Decoded.Data, Model);
     }
     writeFile(Path, Bad);
@@ -326,7 +362,7 @@ TEST(SnapshotStoreTest, RejectionPathsFallBackCleanly) {
     snapshot::LoadResult Loaded = snapshot::loadFromDir(Dir.path(), Model);
     EXPECT_FALSE(Loaded.ok());
     EXPECT_FALSE(Loaded.Warning.empty());
-    if (C.Program) {
+    if (!C.Bytes) {
       EXPECT_NE(Loaded.Warning.find("program section"), std::string::npos)
           << Loaded.Warning;
     }
