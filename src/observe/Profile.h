@@ -95,8 +95,11 @@ struct ProfileCensus {
   uint64_t DistinctSets = 0;    ///< distinct set contents among those
   uint64_t TotalEntries = 0;    ///< sum of set sizes
   uint64_t DistinctEntries = 0; ///< sum of sizes over distinct sets
-  uint64_t SetBytes = 0;        ///< TotalEntries * sizeof(entry)
-  uint64_t ReclaimableBytes = 0; ///< SetBytes share hash-consing removes
+  /// Heap bytes of those sets: order vectors plus bitsets, by capacity.
+  uint64_t SetBytes = 0;
+  /// The bytes of every set past the first, in node order, of its contents
+  /// class: the share of SetBytes hash-consing frees.
+  uint64_t ReclaimableBytes = 0;
   uint64_t MaxSetSize = 0;
   /// Power-of-two set-size histogram: bucket 0 counts size-1 sets, bucket
   /// `i` counts sizes in `(2^(i-1), 2^i]`. Trailing zero buckets trimmed.

@@ -10,7 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <set>
 #include <string_view>
 
 using namespace jackee;
@@ -530,11 +530,11 @@ observe::ProfileCensus Solver::censusPointsTo(
     const std::vector<std::string> &PackagePrefixes) const {
   observe::ProfileCensus C;
   // Exact distinct-set accounting: the canonical (sorted) contents are the
-  // map key, so equal sets compare equal regardless of the insertion order
+  // set key, so equal sets compare equal regardless of the insertion order
   // propagation produced, and there are no hash-collision undercounts. An
-  // ordered map keeps the walk allocation-bounded by the distinct count —
+  // ordered set keeps the walk allocation-bounded by the distinct count —
   // which is the whole point of the census being small.
-  std::map<std::vector<uint32_t>, uint64_t> Distinct;
+  std::set<std::vector<uint32_t>> Distinct;
   std::vector<uint32_t> Key;
   for (size_t I = 0, E = Nodes.size(); I != E; ++I) {
     if (Nodes[I].Kind != NodeKind::Var)
@@ -545,6 +545,7 @@ observe::ProfileCensus Solver::censusPointsTo(
       continue;
     ++C.NonEmptySets;
     C.TotalEntries += Set.size();
+    C.SetBytes += Set.bytes();
     C.MaxSetSize = std::max<uint64_t>(C.MaxSetSize, Set.size());
     size_t Bucket = 0;
     while ((uint64_t(1) << Bucket) < Set.size())
@@ -554,14 +555,14 @@ observe::ProfileCensus Solver::censusPointsTo(
     ++C.Histogram[Bucket];
     Key.assign(Set.begin(), Set.end());
     std::sort(Key.begin(), Key.end());
-    ++Distinct[Key];
+    // Hash-consing would keep the first set of each contents class, in
+    // node order, and free the others.
+    if (!Distinct.insert(Key).second)
+      C.ReclaimableBytes += Set.bytes();
   }
   C.DistinctSets = Distinct.size();
-  for (const auto &[Contents, Occurrences] : Distinct)
+  for (const std::vector<uint32_t> &Contents : Distinct)
     C.DistinctEntries += Contents.size();
-  C.SetBytes = C.TotalEntries * sizeof(uint32_t);
-  C.ReclaimableBytes =
-      (C.TotalEntries - C.DistinctEntries) * sizeof(uint32_t);
   for (const std::string &Prefix : PackagePrefixes)
     C.Packages.push_back({Prefix, varPointsToTuples(Prefix)});
   return C;

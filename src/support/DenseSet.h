@@ -65,6 +65,12 @@ public:
   size_t size() const { return Order.size(); }
   bool empty() const { return Order.empty(); }
 
+  /// Heap bytes held: the order vector's and the bitset's capacities.
+  size_t bytes() const {
+    return Order.capacity() * sizeof(uint32_t) +
+           Bits.capacity() * sizeof(uint64_t);
+  }
+
   const_iterator begin() const { return Order.begin(); }
   const_iterator end() const { return Order.end(); }
 

@@ -190,40 +190,62 @@ TEST(CensusTest, HandBuiltSharedSets) {
   ir::TypeId Main =
       P.addClass("java.util.CensusMain", ir::TypeKind::Class, Object);
 
-  // Four vars, three of which share the same one-element set:
-  //   x = {o1}   y = {o1}   w = {o1}   z = {o1, o2}
+  // Six vars, three of which share the same one-element set, and two the
+  // same set past the scan limit, which also holds a bitset:
+  //   x = {o1}   y = {o1}   w = {o1}   z = {o1, o2}   b = c = {p1..p17}
   ir::MethodBuilder M =
       P.addMethod(Main, "main", {}, ir::TypeId::invalid(), /*IsStatic=*/true);
   ir::VarId X = M.local("x", Object);
   ir::VarId Y = M.local("y", Object);
   ir::VarId Z = M.local("z", Object);
   ir::VarId W = M.local("w", Object);
+  ir::VarId B = M.local("b", Object);
+  ir::VarId BCopy = M.local("c", Object);
   M.alloc(X, Main).alloc(Z, Main).move(Y, X).move(Z, X).move(W, X);
+  constexpr size_t BigSize = InsertOrderSet::ScanLimit + 1;
+  for (size_t I = 0; I != BigSize; ++I)
+    M.alloc(B, Main);
+  M.move(BCopy, B);
   P.finalize();
 
   pointsto::Solver S(P, pointsto::SolverConfig{0, 0});
   S.makeReachable(M.id(), S.contexts().empty());
   S.solve();
+  auto SetOf = [&](ir::VarId V) -> const InsertOrderSet & {
+    return S.pointsTo(S.varInstances(V).front());
+  };
 
   ProfileCensus C = S.censusPointsTo({"java.util", "com.example"});
-  EXPECT_EQ(C.VarNodes, 4u);
-  EXPECT_EQ(C.NonEmptySets, 4u);
-  EXPECT_EQ(C.DistinctSets, 2u); // {o1} and {o1, o2}
-  EXPECT_EQ(C.TotalEntries, 5u);
-  EXPECT_EQ(C.DistinctEntries, 3u);
-  EXPECT_EQ(C.SetBytes, 5u * sizeof(uint32_t));
-  // Hash-consing keeps one copy of each distinct set.
-  EXPECT_EQ(C.ReclaimableBytes, 2u * sizeof(uint32_t));
-  EXPECT_EQ(C.MaxSetSize, 2u);
+  EXPECT_EQ(C.VarNodes, 6u);
+  EXPECT_EQ(C.NonEmptySets, 6u);
+  EXPECT_EQ(C.DistinctSets, 3u); // {o1}, {o1, o2} and {p1..p17}
+  EXPECT_EQ(C.TotalEntries, 5u + 2 * BigSize);
+  EXPECT_EQ(C.DistinctEntries, 3u + BigSize);
+  // Real heap bytes: each order vector's capacity, plus the big sets'
+  // bitsets.
+  uint64_t Bytes = 0;
+  for (ir::VarId V : {X, Y, Z, W, B, BCopy}) {
+    EXPECT_GE(SetOf(V).bytes(), SetOf(V).size() * sizeof(uint32_t));
+    Bytes += SetOf(V).bytes();
+  }
+  EXPECT_GE(SetOf(B).bytes(), BigSize * sizeof(uint32_t) + sizeof(uint64_t));
+  EXPECT_EQ(C.SetBytes, Bytes);
+  // Hash-consing keeps the first set of each class, x's and b's, and frees
+  // the others.
+  EXPECT_EQ(C.ReclaimableBytes,
+            SetOf(Y).bytes() + SetOf(W).bytes() + SetOf(BCopy).bytes());
+  EXPECT_EQ(C.MaxSetSize, BigSize);
   EXPECT_DOUBLE_EQ(C.sharingRatio(), 2.0);
-  // Bucket 0 = size-1 sets, bucket 1 = size-2 sets.
-  ASSERT_EQ(C.Histogram.size(), 2u);
+  // Bucket 0 = size-1 sets, bucket 1 = size-2 sets, bucket 5 = sizes in
+  // (16, 32].
+  ASSERT_EQ(C.Histogram.size(), 6u);
   EXPECT_EQ(C.Histogram[0], 3u);
   EXPECT_EQ(C.Histogram[1], 1u);
-  // All five tuples belong to vars declared in java.util.CensusMain.
+  EXPECT_EQ(C.Histogram[5], 2u);
+  // All tuples belong to vars declared in java.util.CensusMain.
   ASSERT_EQ(C.Packages.size(), 2u);
   EXPECT_EQ(C.Packages[0].Prefix, "java.util");
-  EXPECT_EQ(C.Packages[0].Tuples, 5u);
+  EXPECT_EQ(C.Packages[0].Tuples, C.TotalEntries);
   EXPECT_EQ(C.Packages[1].Prefix, "com.example");
   EXPECT_EQ(C.Packages[1].Tuples, 0u);
 }
