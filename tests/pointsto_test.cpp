@@ -560,6 +560,28 @@ TEST_F(SolverTest, InternalReceiverWeakensContext) {
   EXPECT_EQ(siteCount(*S0, Y), 2u);
 }
 
+/// A statement may name a variable another method declares (the builders
+/// never make one; a decoded image may). The variable keeps one node per
+/// context, which the declaring method's own statements share.
+TEST_F(SolverTest, ForeignVariableSharesItsOwnersNode) {
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  // static Object get() { return h; }  -- h is only ever written by main.
+  MethodBuilder Get =
+      P.addMethod(A, "get", {}, Object, /*IsStatic=*/true);
+  VarId H = Get.local("h", Object);
+  Get.ret(H);
+  // x = new A; h = x; r = get();
+  MethodBuilder Main =
+      P.addMethod(A, "main", {}, TypeId::invalid(), /*IsStatic=*/true);
+  VarId X = Main.local("x", A), R = Main.local("r", Object);
+  Main.alloc(X, A).move(H, X).staticCall(R, Get.id(), {});
+
+  auto S = analyze(Main.id(), 2, 1);
+  EXPECT_EQ(S->varInstances(H).size(), 1u);
+  EXPECT_EQ(sitesOf(*S, H), std::vector<std::string>{"A.main/new0"});
+  EXPECT_EQ(sitesOf(*S, R), std::vector<std::string>{"A.main/new0"});
+}
+
 /// A reaction fires once per object of its base's set: `addReaction` fires
 /// it for the objects already there, and the round's phase for every later
 /// one, including those the replay itself adds. `ReactionsRun` counts the
