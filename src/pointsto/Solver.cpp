@@ -23,8 +23,10 @@ Solver::Solver(const Program &P, SolverConfig Config)
     : P(P), Config(Config), MethodSlotCount(P.methodCount(), FirstVarSlot),
       VarSlot(P.variableCount()), VarNodes(P.variableCount()),
       Shards(NumShards) {
-  for (uint32_t V = 0, E = P.variableCount(); V != E; ++V)
-    VarSlot[V] = MethodSlotCount[P.variable(VarId(V)).DeclaringMethod.index()]++;
+  for (uint32_t V = 0, E = P.variableCount(); V != E; ++V) {
+    MethodId Owner = P.variable(VarId(V)).DeclaringMethod;
+    VarSlot[V] = MethodSlotCount[Owner.index()]++;
+  }
 }
 
 //===----------------------------------------------------------------------===//
