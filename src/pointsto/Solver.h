@@ -57,6 +57,7 @@
 #include "support/FlatMap.h"
 
 #include <array>
+#include <cassert>
 #include <vector>
 
 namespace jackee {
@@ -104,6 +105,7 @@ public:
   const ir::Program &program() const { return P; }
   const SolverConfig &config() const { return Config; }
   ContextTable &contexts() { return Ctxs; }
+  const ContextTable &contexts() const { return Ctxs; }
 
   /// Registers \p PluginPtr (not owned). Plugins run in registration order.
   void addPlugin(Plugin *PluginPtr) { Plugins.push_back(PluginPtr); }
@@ -166,6 +168,11 @@ public:
 
   /// Context instances (variable nodes) of \p Var created so far.
   const std::vector<NodeId> &varInstances(ir::VarId Var) const;
+  /// The context of variable node \p N, one of some `varInstances`.
+  CtxId varNodeCtx(NodeId N) const {
+    assert(Nodes[N.index()].Kind == NodeKind::Var && "not a variable node");
+    return CtxId(Nodes[N.index()].B);
+  }
 
   /// Points-to set of one node (ValueId raw indexes).
   const InsertOrderSet &pointsTo(NodeId N) const {

@@ -13,12 +13,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "javalib/JavaLibrary.h"
+#include "ClientGenerator.h"
 #include "pointsto/Solver.h"
 
 #include <gtest/gtest.h>
-
-#include <random>
 
 using namespace jackee;
 using namespace jackee::ir;
@@ -27,213 +25,7 @@ using namespace jackee::pointsto;
 
 namespace {
 
-struct Observation {
-  VarId Var;
-  uint32_t MapIndex; ///< which generated map this read observes
-  const char *What;  ///< op name, for diagnostics
-};
-
-/// A generated client program plus its ground truth.
-struct GeneratedClient {
-  SymbolTable Symbols;
-  std::unique_ptr<Program> P;
-  JavaLib L;
-  MethodId Main;
-  /// Per generated map: the payload type names stored into it (transitively,
-  /// i.e. putAll merges source into destination).
-  std::vector<std::vector<std::string>> StoredTypes;
-  std::vector<Observation> Observations;
-};
-
-// putAll edges recorded during generation, merged into ground truth at the
-// end (flow-insensitively, the destination absorbs the source's *final*
-// contents).
-std::vector<std::pair<uint32_t, uint32_t>> PutAllEdges;
-
-/// Deterministically generates a random map-client program.
-std::unique_ptr<GeneratedClient> generate(uint32_t Seed, bool SoundModulo) {
-  std::mt19937 Rng(Seed);
-  auto Client = std::make_unique<GeneratedClient>();
-  Client->P = std::make_unique<Program>(Client->Symbols);
-  Program &P = *Client->P;
-  Client->L = buildJavaLibrary(P, SoundModulo
-                                    ? CollectionModel::SoundModulo
-                                    : CollectionModel::OriginalJdk8);
-  const JavaLib &L = Client->L;
-
-  // Payload type pool.
-  std::vector<TypeId> Payloads;
-  std::vector<MethodId> PayloadInits;
-  for (int I = 0; I != 5; ++I) {
-    TypeId T = P.addClass("gen.Payload" + std::to_string(I), TypeKind::Class,
-                          L.Object, {}, false, true);
-    Payloads.push_back(T);
-    PayloadInits.push_back(
-        P.addMethod(T, "<init>", {}, TypeId::invalid()).id());
-  }
-
-  TypeId AppTy =
-      P.addClass("gen.Main", TypeKind::Class, L.Object, {}, false, true);
-  MethodBuilder MB = P.addMethod(AppTy, "main", {}, TypeId::invalid(), true);
-  Client->Main = MB.id();
-
-  struct MapInfo {
-    VarId Var;
-    uint32_t Index;
-  };
-  std::vector<MapInfo> Maps;
-  uint32_t Fresh = 0;
-  auto freshName = [&](const char *Prefix) {
-    return std::string(Prefix) + std::to_string(Fresh++);
-  };
-
-  auto newMap = [&] {
-    int Kind = static_cast<int>(Rng() % 3);
-    TypeId MapTy = Kind == 0   ? L.HashMap
-                   : Kind == 1 ? L.LinkedHashMap
-                               : L.ConcurrentHashMap;
-    MethodId Init = Kind == 0   ? L.HashMapInit
-                    : Kind == 1 ? L.LinkedHashMapInit
-                                : L.ConcurrentHashMapInit;
-    VarId M = MB.local(freshName("m"), MapTy);
-    MB.alloc(M, MapTy).specialCall(VarId::invalid(), M, Init, {});
-    Maps.push_back({M, static_cast<uint32_t>(Client->StoredTypes.size())});
-    Client->StoredTypes.emplace_back();
-    return Maps.back();
-  };
-  newMap(); // at least one map
-
-  auto randomMap = [&]() -> MapInfo & { return Maps[Rng() % Maps.size()]; };
-
-  uint32_t Ops = 6 + Rng() % 12;
-  for (uint32_t Op = 0; Op != Ops; ++Op) {
-    switch (Rng() % 9) {
-    case 0:
-      if (Maps.size() < 4)
-        newMap();
-      break;
-    case 1: { // put(k, payload)
-      MapInfo &M = randomMap();
-      uint32_t PIdx = Rng() % Payloads.size();
-      VarId K = MB.local(freshName("k"), L.String);
-      VarId V = MB.local(freshName("v"), Payloads[PIdx]);
-      MB.stringConst(K, freshName("key"))
-          .alloc(V, Payloads[PIdx])
-          .specialCall(VarId::invalid(), V, PayloadInits[PIdx], {})
-          .virtualCall(VarId::invalid(), M.Var, "put", {L.Object, L.Object},
-                       {K, V});
-      Client->StoredTypes[M.Index].push_back(
-          "gen.Payload" + std::to_string(PIdx));
-      break;
-    }
-    case 2: { // got = get(k)
-      MapInfo &M = randomMap();
-      VarId K = MB.local(freshName("k"), L.String);
-      VarId Got = MB.local(freshName("got"), L.Object);
-      MB.stringConst(K, "probe")
-          .virtualCall(Got, M.Var, "get", {L.Object}, {K});
-      Client->Observations.push_back({Got, M.Index, "get"});
-      break;
-    }
-    case 3: { // got = getOrDefault(k, k)
-      MapInfo &M = randomMap();
-      VarId K = MB.local(freshName("k"), L.String);
-      VarId Got = MB.local(freshName("god"), L.Object);
-      MB.stringConst(K, "probe")
-          .virtualCall(Got, M.Var, "getOrDefault", {L.Object, L.Object},
-                       {K, K});
-      Client->Observations.push_back({Got, M.Index, "getOrDefault"});
-      break;
-    }
-    case 4: { // got = remove(k)
-      MapInfo &M = randomMap();
-      VarId K = MB.local(freshName("k"), L.String);
-      VarId Got = MB.local(freshName("rm"), L.Object);
-      MB.stringConst(K, "probe")
-          .virtualCall(Got, M.Var, "remove", {L.Object}, {K});
-      Client->Observations.push_back({Got, M.Index, "remove"});
-      break;
-    }
-    case 5: { // values iterator
-      MapInfo &M = randomMap();
-      VarId Vs = MB.local(freshName("vs"), L.Collection);
-      VarId It = MB.local(freshName("it"), L.Iterator);
-      VarId E = MB.local(freshName("e"), L.Object);
-      MB.virtualCall(Vs, M.Var, "values", {}, {})
-          .virtualCall(It, Vs, "iterator", {}, {})
-          .virtualCall(E, It, "next", {}, {});
-      Client->Observations.push_back({E, M.Index, "values-iterator"});
-      break;
-    }
-    case 6: { // entrySet iterator -> getValue
-      MapInfo &M = randomMap();
-      VarId Es = MB.local(freshName("es"), L.Set);
-      VarId It = MB.local(freshName("eit"), L.Iterator);
-      VarId En = MB.local(freshName("en"), L.Object);
-      VarId Me = MB.local(freshName("me"), L.MapEntry);
-      VarId V = MB.local(freshName("ev"), L.Object);
-      MB.virtualCall(Es, M.Var, "entrySet", {}, {})
-          .virtualCall(It, Es, "iterator", {}, {})
-          .virtualCall(En, It, "next", {}, {})
-          .cast(Me, L.MapEntry, En)
-          .virtualCall(V, Me, "getValue", {}, {});
-      Client->Observations.push_back({V, M.Index, "entry-getValue"});
-      break;
-    }
-    case 7: { // putAll(dst, src): dst's ground truth absorbs src's
-      if (Maps.size() < 2)
-        break;
-      MapInfo &Dst = randomMap();
-      MapInfo &Src = randomMap();
-      if (Dst.Index == Src.Index)
-        break;
-      MB.virtualCall(VarId::invalid(), Dst.Var, "putAll", {L.Map},
-                     {Src.Var});
-      // Note: later puts into Src are not covered by this flow-insensitive
-      // ground truth... except they are: flow-insensitive analysis has no
-      // order, so absorbing Src's FINAL contents is exactly right. Merge
-      // lazily at check time instead, via the PutAllEdges list.
-      PutAllEdges.push_back({Dst.Index, Src.Index});
-      break;
-    }
-    default: { // old = replace("probe", payload)
-      // Dynamically this stores NOTHING: the "probe" key is never inserted,
-      // and Java's replace() is a no-op on absent keys. It still yields an
-      // observation of the old value (the analysis may over-approximate the
-      // store — that is allowed — but must still observe everything put).
-      MapInfo &M = randomMap();
-      uint32_t PIdx = Rng() % Payloads.size();
-      VarId K = MB.local(freshName("k"), L.String);
-      VarId V = MB.local(freshName("v"), Payloads[PIdx]);
-      VarId Old = MB.local(freshName("old"), L.Object);
-      MB.stringConst(K, "probe")
-          .alloc(V, Payloads[PIdx])
-          .specialCall(VarId::invalid(), V, PayloadInits[PIdx], {})
-          .virtualCall(Old, M.Var, "replace", {L.Object, L.Object}, {K, V});
-      Client->Observations.push_back({Old, M.Index, "replace"});
-      break;
-    }
-    }
-  }
-
-  // Resolve putAll reachability (transitively) into ground truth.
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (auto [Dst, Src] : PutAllEdges)
-      for (const std::string &T : Client->StoredTypes[Src])
-        if (std::find(Client->StoredTypes[Dst].begin(),
-                      Client->StoredTypes[Dst].end(),
-                      T) == Client->StoredTypes[Dst].end()) {
-          Client->StoredTypes[Dst].push_back(T);
-          Changed = true;
-        }
-  }
-  PutAllEdges.clear();
-
-  P.finalize();
-  return Client;
-}
+using test::Observation;
 
 bool observes(const Solver &S, VarId V, const std::string &TypeName) {
   for (AllocSiteId Site : S.varPointsToSites(V)) {
@@ -254,7 +46,7 @@ class RandomClientSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(RandomClientSweep, StoredTypesAreObserved) {
   SweepCase C = GetParam();
-  auto Client = generate(C.Seed, C.SoundModulo);
+  auto Client = test::generate(C.Seed, C.SoundModulo);
 
   Solver S(*Client->P, SolverConfig{C.K, C.H});
   S.makeReachable(Client->Main, S.contexts().empty());

@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "PointsToProjection.h"
 #include "core/Session.h"
 #include "pointsto/Solver.h"
 #include "synth/SynthApp.h"
@@ -81,7 +82,9 @@ uint64_t callGraphOrderHash(const Solver &S) {
 
 /// A cell's solver effort counters and orders, as recorded. A change that
 /// keeps the propagation order must reproduce them exactly; one that
-/// changes the order on purpose re-records them and says why.
+/// changes the order on purpose re-records them and says why. The
+/// projection hash covers the context-sensitive results alone, through the
+/// points-to oracle's projection, so no schedule may change it.
 struct OrderPin {
   synth::BenchApp App;
   core::AnalysisKind Kind;
@@ -92,6 +95,7 @@ struct OrderPin {
   uint32_t Nodes;
   uint64_t NodeSetOrderHash;
   uint64_t CallGraphOrderHash;
+  uint64_t ProjectionHash;
 };
 
 void expectPinned(const OrderPin &Pin) {
@@ -116,6 +120,10 @@ void expectPinned(const OrderPin &Pin) {
   EXPECT_EQ(S.nodeCount(), Pin.Nodes);
   EXPECT_EQ(nodeSetOrderHash(S), Pin.NodeSetOrderHash);
   EXPECT_EQ(callGraphOrderHash(S), Pin.CallGraphOrderHash);
+  bool Fits = false;
+  EXPECT_EQ(test::orderFreeHash(test::projectSolver(S, Fits)),
+            Pin.ProjectionHash);
+  EXPECT_TRUE(Fits);
 }
 
 TEST(PointsToOrderPin, WebGoat2ObjH) {
@@ -125,7 +133,8 @@ TEST(PointsToOrderPin, WebGoat2ObjH) {
                 /*SetOrderHash=*/12890229860717409760ULL,
                 /*LargestVarSet=*/62, /*Nodes=*/9076,
                 /*NodeSetOrderHash=*/17559045104955714570ULL,
-                /*CallGraphOrderHash=*/13218963960491359758ULL});
+                /*CallGraphOrderHash=*/13218963960491359758ULL,
+                /*ProjectionHash=*/9734393207561029764ULL});
 }
 
 TEST(PointsToOrderPin, PybbsMod2ObjH) {
@@ -135,7 +144,8 @@ TEST(PointsToOrderPin, PybbsMod2ObjH) {
                 /*SetOrderHash=*/4174156672662490441ULL,
                 /*LargestVarSet=*/73, /*Nodes=*/4580,
                 /*NodeSetOrderHash=*/4701208184883648524ULL,
-                /*CallGraphOrderHash=*/3505139064646374941ULL});
+                /*CallGraphOrderHash=*/3505139064646374941ULL,
+                /*ProjectionHash=*/15439044267837800283ULL});
 }
 
 /// A context-insensitive cell of a large app: 301 cast records, most of
@@ -149,7 +159,8 @@ TEST(PointsToOrderPin, DotCMSCi) {
                 /*SetOrderHash=*/8802010730966064784ULL,
                 /*LargestVarSet=*/442, /*Nodes=*/9650,
                 /*NodeSetOrderHash=*/5535888807610154912ULL,
-                /*CallGraphOrderHash=*/3028414799396689958ULL});
+                /*CallGraphOrderHash=*/3028414799396689958ULL,
+                /*ProjectionHash=*/468888314699559866ULL});
 }
 
 /// A mid-size object-sensitive cell whose reactions re-fire: many bodies
@@ -163,7 +174,8 @@ TEST(PointsToOrderPin, Shopizer2ObjH) {
                 /*SetOrderHash=*/18070502441667038186ULL,
                 /*LargestVarSet=*/222, /*Nodes=*/27310,
                 /*NodeSetOrderHash=*/15273134069072817263ULL,
-                /*CallGraphOrderHash=*/7352641578746377778ULL});
+                /*CallGraphOrderHash=*/7352641578746377778ULL,
+                /*ProjectionHash=*/12501388244159076644ULL});
 }
 
 } // namespace
