@@ -12,6 +12,7 @@
 #include <cassert>
 #include <set>
 #include <string_view>
+#include <utility>
 
 using namespace jackee;
 using namespace jackee::ir;
@@ -22,7 +23,7 @@ const std::vector<NodeId> Solver::NoInstances;
 Solver::Solver(const Program &P, SolverConfig Config)
     : P(P), Config(Config), MethodSlotCount(P.methodCount(), FirstVarSlot),
       VarSlot(P.variableCount()), VarNodes(P.variableCount()),
-      Shards(NumShards) {
+      MethodReached(P.methodCount()), LastCallee(P.invokeCount()) {
   for (uint32_t V = 0, E = P.variableCount(); V != E; ++V) {
     MethodId Owner = P.variable(VarId(V)).DeclaringMethod;
     VarSlot[V] = MethodSlotCount[Owner.index()]++;
@@ -49,6 +50,7 @@ NodeId Solver::newNode(NodeKind Kind, uint32_t A, uint32_t B) {
   Edges.emplace_back();
   Reactions.emplace_back();
   Phased.push_back(0);
+  Queued.push_back(0);
   if (Kind == NodeKind::Var)
     VarNodes[A].push_back(N);
   return N;
@@ -126,9 +128,14 @@ bool Solver::passesFilter(ValueId V, TypeId Filter) const {
   return P.isSubtype(valueType(V), Filter);
 }
 
+void Solver::enqueue(NodeId N) {
+  if (!std::exchange(Queued[N.index()], 1))
+    Dirty.push_back(N);
+}
+
 void Solver::propagate(NodeId N, ValueId V) {
   if (PointsTo[N.index()].insert(V.rawValue()))
-    Shards[shardOf(N)].Pending.push_back({N, V});
+    enqueue(N);
 }
 
 void Solver::addEdge(NodeId From, NodeId To, TypeId Filter) {
@@ -141,14 +148,18 @@ void Solver::addEdge(NodeId From, NodeId To, TypeId Filter) {
       return;
   Out.push_back({To, Filter});
   ++SolverStats.EdgesAdded;
-  // Replay the current set through the new edge (snapshot the size; values
-  // added meanwhile flow via the worklist). Re-index every iteration: the
-  // outer tables reallocate when propagation interns new nodes.
-  for (size_t I = 0, E = PointsTo[From.index()].size(); I != E; ++I) {
-    ValueId V(PointsTo[From.index()][I]);
-    if (passesFilter(V, Filter))
-      propagate(To, V);
+  // Replay the source's set through the new edge: a large one whole, word
+  // by word, else the values visited so far. Its next visit sends the rest.
+  const InsertOrderSet &Source = PointsTo[From.index()];
+  if (!Filter.isValid() && Source.size() > InsertOrderSet::ScanLimit) {
+    ++SolverStats.WordUnions;
+    if (PointsTo[To.index()].insertBits(Source.bits()))
+      enqueue(To);
+    return;
   }
+  for (uint32_t I = 0, E = Phased[From.index()]; I != E; ++I)
+    if (passesFilter(ValueId(Source[I]), Filter))
+      propagate(To, ValueId(Source[I]));
 }
 
 void Solver::addReaction(Reaction::Kind Kind, const Statement &S,
@@ -215,8 +226,6 @@ void Solver::markReachable(CMethodId CM) {
   if (!ReachableSet.insert(CM.rawValue()))
     return;
   MethodId M = CMethods[CM.index()].M;
-  if (M.index() >= MethodReached.size())
-    MethodReached.resize(P.methodCount(), false);
   MethodReached[M.index()] = true;
   if (!P.method(M).IsAbstract)
     processBody(CM);
@@ -296,10 +305,14 @@ void Solver::wireCall(const Statement &S, CMethodId CallerCM, MethodId Callee,
 
   CMethodId CalleeCM = internCMethod(Callee, CalleeCtx);
   markReachable(CalleeCM);
-  uint64_t CallEdge = packPair(S.Invoke.index(), Callee.index());
-  if (CallEdgeSet.insert(CallEdge, static_cast<uint32_t>(CallEdges.size()))
-          .second)
-    CallEdges.push_back(CallEdge);
+  // Most wirings repeat their invoke's last callee, whose edge is recorded.
+  assert(LastCallee.size() == P.invokeCount() && "the program gained invokes");
+  if (std::exchange(LastCallee[S.Invoke.index()], Callee) != Callee) {
+    uint64_t CallEdge = packPair(S.Invoke.index(), Callee.index());
+    if (CallEdgeSet.insert(CallEdge, static_cast<uint32_t>(CallEdges.size()))
+            .second)
+      CallEdges.push_back(CallEdge);
+  }
 
   if (Receiver.isValid() && CalleeM.This.isValid())
     propagate(varNode(CalleeCM, CalleeM.This), Receiver);
@@ -341,68 +354,66 @@ void Solver::seedObjectField(ValueId Base, FieldId F, ValueId V) {
   propagate(fieldNode(Base, F), V);
 }
 
-void Solver::phaseShard(uint32_t ShardIndex) {
-  // Propagation inserts into sets and `Pending` queues only; the edges,
-  // reactions and node tables this loop walks change only at the barrier.
-  Shard &S = Shards[ShardIndex];
-  for (const WorkItem &Item : S.Current) {
-    const uint32_t NIdx = Item.N.index();
-    const ValueId V = Item.V;
-    // A node's items sit on one FIFO queue, so they are phased in the
-    // order their values entered its set.
-    const uint32_t Pos = Phased[NIdx]++;
-    assert(PointsTo[NIdx][Pos] == V.rawValue() && "items out of set order");
-    for (const Edge &E : Edges[NIdx])
-      if (passesFilter(V, E.Filter))
-        propagate(E.Target, V);
-    // A reaction added after V entered the set fired for V then; firing it
-    // again would only find nodes, edges and calls that exist.
-    for (const Reaction &R : Reactions[NIdx])
-      if (Pos >= R.ReplayedUpTo)
-        S.StagedReactions.push_back({R, V});
-    if (Nodes[NIdx].Kind == NodeKind::CatchDispatch)
-      S.StagedCatches.push_back({CMethodId(Nodes[NIdx].A), V});
-  }
-}
+void Solver::visit(NodeId N) {
+  // Sending the delta only inserts and queues: the edges it walks change at
+  // the barrier, and a self-edge sends values the set holds.
+  const uint32_t NIdx = N.index();
+  const uint32_t Begin = Phased[NIdx];
+  const uint32_t End = static_cast<uint32_t>(PointsTo[NIdx].size());
+  Queued[NIdx] = 0;
+  Phased[NIdx] = End;
+  SolverStats.WorkItems += End - Begin;
+  const InsertOrderSet &Set = PointsTo[NIdx];
 
-bool Solver::hasPendingWork() const {
-  for (const Shard &S : Shards)
-    if (!S.Pending.empty())
-      return true;
-  return false;
+  // A delta wider than the value bitset's word count goes along each
+  // unfiltered edge as one word-wise union.
+  const uint32_t Words = (valueCount() + 63) / 64;
+  const bool Wide = End - Begin > Words;
+  if (Wide) {
+    DeltaBits.assign(Words, 0);
+    for (uint32_t I = Begin; I != End; ++I)
+      DeltaBits[Set[I] / 64] |= uint64_t(1) << (Set[I] % 64);
+  }
+  for (const Edge &E : Edges[NIdx]) {
+    if (Wide && !E.Filter.isValid()) {
+      ++SolverStats.WordUnions;
+      if (PointsTo[E.Target.index()].insertBits(DeltaBits))
+        enqueue(E.Target);
+      continue;
+    }
+    for (uint32_t I = Begin; I != End; ++I)
+      if (passesFilter(ValueId(Set[I]), E.Filter))
+        propagate(E.Target, ValueId(Set[I]));
+  }
+  if (!Reactions[NIdx].empty() || Nodes[NIdx].Kind == NodeKind::CatchDispatch)
+    Staged.push_back({N, Begin, End});
 }
 
 void Solver::drainWorklist() {
-  while (true) {
-    // Admit: this round consumes everything discovered so far.
-    size_t Total = 0;
-    for (Shard &S : Shards) {
-      S.Current.clear();
-      std::swap(S.Current, S.Pending);
-      Total += S.Current.size();
-    }
-    if (Total == 0)
-      break;
+  while (!Dirty.empty()) {
     ++SolverStats.Rounds;
-    SolverStats.WorkItems += Total;
+    std::swap(Visiting, Dirty); // nodes that grow meanwhile wait a round
+    for (NodeId N : Visiting)
+      visit(N);
+    Visiting.clear();
 
-    for (uint32_t I = 0; I != NumShards; ++I)
-      phaseShard(I);
-
-    // Barrier: apply staged reactions and catch dispatches in canonical
-    // shard order. These intern nodes/values/contexts and grow the call
-    // graph (`wireCall`, `processBody`), which is exactly the state the
-    // phase walks.
-    for (Shard &S : Shards) {
-      for (const StagedReaction &SR : S.StagedReactions) {
-        ++SolverStats.ReactionsRun;
-        applyReaction(SR.R, SR.V);
+    // Barrier: fire each staged delta's reactions past `ReplayedUpTo` and
+    // route its catches. Firing grows every table (`wireCall`,
+    // `processBody`), so each is re-indexed and each reaction copied.
+    for (const StagedDelta &D : Staged) {
+      const uint32_t NIdx = D.N.index();
+      for (size_t RI = 0; RI != Reactions[NIdx].size(); ++RI) {
+        const Reaction R = Reactions[NIdx][RI];
+        for (uint32_t I = std::max(D.Begin, R.ReplayedUpTo); I < D.End; ++I) {
+          ++SolverStats.ReactionsRun;
+          applyReaction(R, ValueId(PointsTo[NIdx][I]));
+        }
       }
-      S.StagedReactions.clear();
-      for (const StagedCatch &SC : S.StagedCatches)
-        dispatchCatch(SC.CM, SC.V);
-      S.StagedCatches.clear();
+      if (Nodes[NIdx].Kind == NodeKind::CatchDispatch)
+        for (uint32_t I = D.Begin; I != D.End; ++I)
+          dispatchCatch(CMethodId(Nodes[NIdx].A), ValueId(PointsTo[NIdx][I]));
     }
+    Staged.clear();
   }
 }
 
@@ -417,7 +428,7 @@ void Solver::solve() {
       Changed |= PluginPtr->onFixpoint(*this);
     ++SolverStats.PluginRounds;
     FixpointSpan.arg("work_items", SolverStats.WorkItems - ItemsBefore);
-    if (!Changed && !hasPendingWork())
+    if (!Changed && Dirty.empty())
       break;
   }
   publishMetrics();

@@ -29,14 +29,13 @@
 /// precision (Section 4 of the paper): the receiver is an internal TreeNode
 /// allocation, so the context no longer distinguishes the map's clients.
 ///
-/// The worklist drain runs in *rounds* (DESIGN.md §11): work items are
-/// bucketed into a fixed number of node shards, and each round runs a
-/// propagation phase over every shard, which inserts into the target sets
-/// in place and stages reaction firings and catch dispatches, then a
-/// barrier that applies those (call wiring, body processing) in canonical
-/// shard order. The rounds fix the propagation order — points-to set
-/// insertion orders, call-graph edge order, `Stats` — and so every output
-/// that depends on it.
+/// The worklist drain runs in *rounds* (DESIGN.md §11) over one queue of
+/// nodes whose sets grew. A round visits each node queued at its start and
+/// sends its delta, the values gained since its last visit, along each
+/// out-edge once (word-wise when wide); a barrier then fires the deltas'
+/// reactions and catch dispatches (call wiring, body processing). Every
+/// schedule reaches the same least fixpoint, so no result depends on the
+/// visit order; set insertion orders and the call-graph order do.
 ///
 /// Plugins (`Plugin::onFixpoint`) run each time the worklist drains and may
 /// inject new facts (entry points, bean injections, getBean seeds); solving
@@ -57,7 +56,6 @@
 #include "support/FlatMap.h"
 
 #include <array>
-#include <cassert>
 #include <vector>
 
 namespace jackee {
@@ -169,10 +167,7 @@ public:
   /// Context instances (variable nodes) of \p Var created so far.
   const std::vector<NodeId> &varInstances(ir::VarId Var) const;
   /// The context of variable node \p N, one of some `varInstances`.
-  CtxId varNodeCtx(NodeId N) const {
-    assert(Nodes[N.index()].Kind == NodeKind::Var && "not a variable node");
-    return CtxId(Nodes[N.index()].B);
-  }
+  CtxId varNodeCtx(NodeId N) const { return CtxId(Nodes[N.index()].B); }
 
   /// Points-to set of one node (ValueId raw indexes).
   const InsertOrderSet &pointsTo(NodeId N) const {
@@ -241,13 +236,14 @@ public:
   observe::ProfileCensus
   censusPointsTo(const std::vector<std::string> &PackagePrefixes) const;
 
+  /// Effort counters (DESIGN.md §11.3).
   struct Stats {
     uint64_t WorkItems = 0;
     uint64_t EdgesAdded = 0;
     uint64_t ReactionsRun = 0;
     uint32_t PluginRounds = 0;
-    /// Staged drain rounds across all fixpoints.
     uint64_t Rounds = 0;
+    uint64_t WordUnions = 0;
   };
   const Stats &stats() const { return SolverStats; }
 
@@ -289,45 +285,21 @@ private:
     };
     Kind RKind;
     /// The base set's size when the reaction was added. `addReaction`
-    /// fired it for the objects before that position; the phase fires it
-    /// for the rest.
+    /// fired it for the objects before that position; the base's visits
+    /// stage it for the rest.
     uint32_t ReplayedUpTo;
     const ir::Statement *Stmt;
     CMethodId CallerCM; ///< the statement's (method, context)
   };
-  static_assert(sizeof(Reaction) == 24, "staged per firing; keep it small");
+  static_assert(sizeof(Reaction) == 24, "one per statement and context");
 
-  // --- Round-based worklist (DESIGN.md §11) -------------------------------
+  // --- Delta worklist (DESIGN.md §11) -------------------------------------
 
-  /// Shard count. The order in which a round walks its items and applies
-  /// its barrier is defined over it, so changing it changes the
-  /// propagation order.
-  static constexpr uint32_t NumShards = 64;
-  static constexpr uint32_t ShardMask = NumShards - 1;
-  static uint32_t shardOf(NodeId N) { return N.index() & ShardMask; }
-
-  struct WorkItem {
+  /// A visited delta, positions [Begin, End) of the node's set, whose
+  /// reaction firings and catch dispatches wait for the barrier.
+  struct StagedDelta {
     NodeId N;
-    ValueId V;
-  };
-  static_assert(sizeof(WorkItem) == 8, "one per (node, value) insertion");
-  struct StagedReaction {
-    Reaction R;
-    ValueId V;
-  };
-  struct StagedCatch {
-    CMethodId CM;
-    ValueId V;
-  };
-
-  /// Per-shard drain state. A node's new values join the `Pending` queue of
-  /// its own shard; reactions and catch dispatches that the phase meets on
-  /// this shard's items wait in the staging vectors until the barrier.
-  struct Shard {
-    std::vector<WorkItem> Current; ///< items admitted to this round
-    std::vector<WorkItem> Pending; ///< items discovered, next round's input
-    std::vector<StagedReaction> StagedReactions;
-    std::vector<StagedCatch> StagedCatches;
+    uint32_t Begin, End;
   };
 
   /// Appends a node with empty per-node state.
@@ -349,6 +321,8 @@ private:
   void markReachable(CMethodId CM);
 
   void propagate(NodeId N, ValueId V);
+  void enqueue(NodeId N); ///< queues \p N unless it is queued
+
   void addEdge(NodeId From, NodeId To, ir::TypeId Filter = ir::TypeId::invalid());
   /// Attaches a reaction of \p S's kind to \p S's base under \p CM and
   /// fires it for the base's current set.
@@ -357,11 +331,9 @@ private:
   void applyReaction(const Reaction &R, ValueId V);
   void dispatchCatch(CMethodId CM, ValueId V);
 
-  /// Round step 1: propagates one shard's admitted items along their
-  /// nodes' edges in place, staging reaction firings and catch dispatches.
-  void phaseShard(uint32_t ShardIndex);
+  /// Sends \p N's delta along its out-edges and stages it for the barrier.
+  void visit(NodeId N);
   void drainWorklist();
-  bool hasPendingWork() const;
   void publishMetrics();
 
   /// Processes all statements of a newly reachable (method, ctx).
@@ -407,19 +379,20 @@ private:
   std::vector<CMethod> CMethods;
   FlatMap CMethodLookup;
   std::vector<NodeId> Slots;
-  // Fixed for the solver's lifetime: the program gains no methods or
-  // variables while a solver lives (plugins add only allocation sites).
+  // Fixed for the solver's lifetime: the program gains no methods,
+  // variables or invokes while a solver lives (plugins add only sites).
   std::vector<uint32_t> MethodSlotCount; ///< by MethodId
   std::vector<uint32_t> VarSlot;         ///< by VarId, within its block
 
   // Per-node state (indexed by NodeId). An edge is unique by (Target,
-  // Filter) within its source's vector. `Phased` counts the node's work
-  // items phased so far: items are phased in insertion order, so it is the
-  // position of the next one in the node's set.
+  // Filter) within its source's vector. `Phased` is the size of the node's
+  // set at its last visit, so its delta is the positions from there on; a
+  // node whose set grew past it is `Queued`.
   std::vector<InsertOrderSet> PointsTo;
   std::vector<std::vector<Edge>> Edges;
   std::vector<std::vector<Reaction>> Reactions;
   std::vector<uint32_t> Phased;
+  std::vector<uint8_t> Queued;
 
   // Var -> its context instances.
   std::vector<std::vector<NodeId>> VarNodes;
@@ -427,15 +400,21 @@ private:
   InsertOrderSet ReachableSet;     // CMethodId raw
   std::vector<bool> MethodReached; // by MethodId
 
-  // packPair(invoke, calleeMethod): not dense ids, so membership is hashed.
+  // packPair(invoke, calleeMethod): not dense ids, so membership is hashed,
+  // unless the invoke wires its last callee again (`LastCallee`).
   std::vector<uint64_t> CallEdges;
   FlatMap CallEdgeSet;
+  std::vector<ir::MethodId> LastCallee; // by InvokeId
 
   // packPair(method, statement position) -> index into `Casts`.
   std::vector<CastRecord> Casts;
   FlatMap CastIndex;
 
-  std::vector<Shard> Shards;
+  // The queue: nodes to visit in the next round, and the round under way.
+  std::vector<NodeId> Dirty, Visiting;
+  std::vector<StagedDelta> Staged;
+  /// A wide delta's values as a bitset over value ids, rebuilt per visit.
+  std::vector<uint64_t> DeltaBits;
 
   std::vector<Plugin *> Plugins;
   Stats SolverStats;

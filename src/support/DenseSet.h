@@ -14,6 +14,7 @@
 /// scanning it; larger ones by a bitset over ids, so a set never allocates
 /// per element. Ids must be dense (a bitset word per 64 ids up to the
 /// largest member): value, method and type ids are; packed id pairs are not.
+/// A whole bitset of ids joins a set word by word (`insertBits`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +22,10 @@
 #define JACKEE_SUPPORT_DENSESET_H
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace jackee {
@@ -54,6 +57,33 @@ public:
     }
     return true;
   }
+
+  /// Inserts every id set in \p Words (bit `Id % 64` of word `Id / 64`)
+  /// that the set lacks, appending the new ids in id order. A set of at
+  /// most `ScanLimit` ids first records its members in its bitset (its
+  /// `insert`s leave that bitset alone until it outgrows the limit).
+  /// \returns true if any id was added.
+  bool insertBits(std::span<const uint64_t> Words) {
+    if (Order.size() <= ScanLimit)
+      for (uint32_t Member : Order)
+        setBit(Member);
+    const size_t Before = Order.size();
+    for (size_t W = 0; W != Words.size(); ++W) {
+      uint64_t New = Words[W] & ~(W < Bits.size() ? Bits[W] : 0);
+      if (New == 0)
+        continue;
+      if (W >= Bits.size())
+        Bits.resize(W + 1, 0);
+      Bits[W] |= New;
+      for (; New != 0; New &= New - 1)
+        Order.push_back(static_cast<uint32_t>(W * 64 + std::countr_zero(New)));
+    }
+    return Order.size() != Before;
+  }
+
+  /// The membership bitset, in `insertBits`' layout. Exact only while the
+  /// set holds more than `ScanLimit` ids.
+  std::span<const uint64_t> bits() const { return Bits; }
 
   bool contains(uint32_t Id) const {
     if (Order.size() <= ScanLimit)
@@ -92,7 +122,8 @@ private:
   }
 
   std::vector<uint32_t> Order;
-  std::vector<uint64_t> Bits; ///< empty until the set outgrows `ScanLimit`
+  /// Empty until the set outgrows `ScanLimit` or takes an `insertBits`.
+  std::vector<uint64_t> Bits;
 };
 
 } // namespace jackee

@@ -364,6 +364,7 @@ std::string missing(const std::vector<Tuple> &A, const std::vector<Tuple> &B,
 /// What one seed reached, for the coverage checks.
 struct SeedResult {
   size_t LargestSet = 0;
+  uint64_t WordUnions = 0;
 };
 
 /// Solves one generated program with the solver and with the rules, and
@@ -402,6 +403,7 @@ SeedResult checkSeed(uint32_t Seed, bool SoundModulo, bool TwoObjH,
   EXPECT_EQ(Recorded, Projected);
 
   SeedResult R;
+  R.WordUnions = S.stats().WordUnions;
   for (uint32_t VI = 0; VI != P.variableCount(); ++VI)
     for (NodeId N : S.varInstances(VarId(VI)))
       R.LargestSet = std::max(R.LargestSet, S.pointsTo(N).size());
@@ -431,16 +433,20 @@ TEST_P(PointsToOracle, SolverMatchesDatalogRules) {
   test::ClientScale Scale =
       C.Scaled ? test::ClientScale::scaled() : test::ClientScale::defaultScale();
   size_t Largest = 0;
+  uint64_t WordUnions = 0;
   for (uint32_t Seed = C.FirstSeed; Seed != C.FirstSeed + C.Seeds; ++Seed) {
     SCOPED_TRACE("seed " + std::to_string(Seed));
     SeedResult R = checkSeed(Seed, C.SoundModulo, C.TwoObjH, Scale);
     Largest = std::max(Largest, R.LargestSet);
+    WordUnions += R.WordUnions;
     if (HasFailure())
       return;
   }
-  // The scaled programs exist to grow sets past the scan-to-bitset switch.
+  // The scaled programs exist to grow sets past the scan-to-bitset switch
+  // and to send deltas wide enough for the word-wise union.
   if (C.Scaled) {
     EXPECT_GT(Largest, InsertOrderSet::ScanLimit);
+    EXPECT_GT(WordUnions, 0u);
   }
 }
 

@@ -2,11 +2,12 @@
 //
 // Part of JackEE-CPP (PLDI'20 "Frameworks and Caches" reproduction).
 //
-// The staged drain (DESIGN.md §11) fixes the order in which values reach
-// points-to sets. These pins fix four cells' effort counters, set
+// The delta worklist (DESIGN.md §11) fixes the order in which values
+// reach points-to sets. These pins fix four cells' effort counters, set
 // insertion orders and call-graph growth order to recorded values, so a
 // change that claims to keep the propagation order has to reproduce them
-// exactly.
+// exactly. Each pin also holds an order-free hash of the cell's
+// context-sensitive results, which no schedule may change.
 //
 //===----------------------------------------------------------------------===//
 
@@ -88,7 +89,7 @@ uint64_t callGraphOrderHash(const Solver &S) {
 struct OrderPin {
   synth::BenchApp App;
   core::AnalysisKind Kind;
-  uint64_t WorkItems, Rounds, EdgesAdded, ReactionsRun;
+  uint64_t WorkItems, Rounds, EdgesAdded, ReactionsRun, WordUnions;
   uint32_t PluginRounds;
   uint64_t SetOrderHash;
   size_t LargestVarSet; ///< far past the sets' scan-to-bitset switch
@@ -114,6 +115,7 @@ void expectPinned(const OrderPin &Pin) {
   EXPECT_EQ(S.stats().Rounds, Pin.Rounds);
   EXPECT_EQ(S.stats().EdgesAdded, Pin.EdgesAdded);
   EXPECT_EQ(S.stats().ReactionsRun, Pin.ReactionsRun);
+  EXPECT_EQ(S.stats().WordUnions, Pin.WordUnions);
   EXPECT_EQ(S.stats().PluginRounds, Pin.PluginRounds);
   EXPECT_EQ(varSetOrderHash(S), Pin.SetOrderHash);
   EXPECT_EQ(Largest, Pin.LargestVarSet);
@@ -128,23 +130,25 @@ void expectPinned(const OrderPin &Pin) {
 
 TEST(PointsToOrderPin, WebGoat2ObjH) {
   expectPinned({synth::BenchApp::WebGoat, core::AnalysisKind::TwoObjH,
-                /*WorkItems=*/47307, /*Rounds=*/33, /*EdgesAdded=*/20309,
-                /*ReactionsRun=*/7716, /*PluginRounds=*/2,
-                /*SetOrderHash=*/12890229860717409760ULL,
+                /*WorkItems=*/47307, /*Rounds=*/34, /*EdgesAdded=*/20309,
+                /*ReactionsRun=*/8025, /*WordUnions=*/4191,
+                /*PluginRounds=*/2,
+                /*SetOrderHash=*/6120506572574467286ULL,
                 /*LargestVarSet=*/62, /*Nodes=*/9076,
-                /*NodeSetOrderHash=*/17559045104955714570ULL,
-                /*CallGraphOrderHash=*/13218963960491359758ULL,
+                /*NodeSetOrderHash=*/18129906952242428876ULL,
+                /*CallGraphOrderHash=*/17159659835633536043ULL,
                 /*ProjectionHash=*/9734393207561029764ULL});
 }
 
 TEST(PointsToOrderPin, PybbsMod2ObjH) {
   expectPinned({synth::BenchApp::Pybbs, core::AnalysisKind::Mod2ObjH,
-                /*WorkItems=*/23103, /*Rounds=*/28, /*EdgesAdded=*/12811,
-                /*ReactionsRun=*/3819, /*PluginRounds=*/2,
-                /*SetOrderHash=*/4174156672662490441ULL,
+                /*WorkItems=*/23103, /*Rounds=*/31, /*EdgesAdded=*/12811,
+                /*ReactionsRun=*/4133, /*WordUnions=*/2511,
+                /*PluginRounds=*/2,
+                /*SetOrderHash=*/6287321715742953932ULL,
                 /*LargestVarSet=*/73, /*Nodes=*/4580,
-                /*NodeSetOrderHash=*/4701208184883648524ULL,
-                /*CallGraphOrderHash=*/3505139064646374941ULL,
+                /*NodeSetOrderHash=*/13506040737212080990ULL,
+                /*CallGraphOrderHash=*/17242588261539309519ULL,
                 /*ProjectionHash=*/15439044267837800283ULL});
 }
 
@@ -154,27 +158,29 @@ TEST(PointsToOrderPin, PybbsMod2ObjH) {
 /// resizes.
 TEST(PointsToOrderPin, DotCMSCi) {
   expectPinned({synth::BenchApp::DotCMS, core::AnalysisKind::CI,
-                /*WorkItems=*/405272, /*Rounds=*/29, /*EdgesAdded=*/32691,
-                /*ReactionsRun=*/46992, /*PluginRounds=*/2,
-                /*SetOrderHash=*/8802010730966064784ULL,
+                /*WorkItems=*/405272, /*Rounds=*/31, /*EdgesAdded=*/32691,
+                /*ReactionsRun=*/47148, /*WordUnions=*/3930,
+                /*PluginRounds=*/2,
+                /*SetOrderHash=*/6423829365812466073ULL,
                 /*LargestVarSet=*/442, /*Nodes=*/9650,
-                /*NodeSetOrderHash=*/5535888807610154912ULL,
-                /*CallGraphOrderHash=*/3028414799396689958ULL,
+                /*NodeSetOrderHash=*/10675618049112156020ULL,
+                /*CallGraphOrderHash=*/9621252397657792610ULL,
                 /*ProjectionHash=*/468888314699559866ULL});
 }
 
-/// A mid-size object-sensitive cell whose reactions re-fire: many bodies
+/// A mid-size object-sensitive cell whose reactions replay: many bodies
 /// allocate or move into a variable before the statement that adds a
-/// reaction on it, so the replay at `addReaction` and the round's phase
-/// both meet the same (reaction, value) pairs.
+/// reaction on it, so the replay at `addReaction` and the base's visits
+/// share each reaction's values between them.
 TEST(PointsToOrderPin, Shopizer2ObjH) {
   expectPinned({synth::BenchApp::Shopizer, core::AnalysisKind::TwoObjH,
-                /*WorkItems=*/386905, /*Rounds=*/34, /*EdgesAdded=*/113463,
-                /*ReactionsRun=*/36449, /*PluginRounds=*/2,
-                /*SetOrderHash=*/18070502441667038186ULL,
+                /*WorkItems=*/386905, /*Rounds=*/35, /*EdgesAdded=*/113463,
+                /*ReactionsRun=*/38251, /*WordUnions=*/21272,
+                /*PluginRounds=*/2,
+                /*SetOrderHash=*/6303929922771607202ULL,
                 /*LargestVarSet=*/222, /*Nodes=*/27310,
-                /*NodeSetOrderHash=*/15273134069072817263ULL,
-                /*CallGraphOrderHash=*/7352641578746377778ULL,
+                /*NodeSetOrderHash=*/4729638769017476507ULL,
+                /*CallGraphOrderHash=*/11235114849572202513ULL,
                 /*ProjectionHash=*/12501388244159076644ULL});
 }
 

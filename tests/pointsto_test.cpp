@@ -586,11 +586,15 @@ TEST_F(SolverTest, ForeignVariableSharesItsOwnersNode) {
 /// it for the objects already there, and the round's phase for every later
 /// one, including those the replay itself adds. `ReactionsRun` counts the
 /// phase's firings only.
+/// A reaction fires once per (reaction, value) pair: `addReaction` fires
+/// it for the values its base holds then (the replay), and the base's
+/// visits stage it for the rest, which the barrier counts in
+/// `ReactionsRun`. Each scenario knows its replayed firings by
+/// construction, whatever the visit order.
 class SolverReplay : public SolverTest {
 protected:
-  /// The labels of \p V's objects in insertion order; \p V has one
-  /// context instance.
-  static std::vector<std::string> orderedSitesOf(const Solver &S, VarId V) {
+  /// The labels of \p V's objects, sorted; \p V has one context instance.
+  static std::vector<std::string> exactSitesOf(const Solver &S, VarId V) {
     std::vector<std::string> Labels;
     const std::vector<NodeId> &Instances = S.varInstances(V);
     EXPECT_EQ(Instances.size(), 1u);
@@ -599,7 +603,15 @@ protected:
     for (uint32_t Raw : S.pointsTo(Instances.front()))
       Labels.push_back(
           S.program().symbols().text(S.valueSite(ValueId(Raw)).Label));
+    std::sort(Labels.begin(), Labels.end());
     return Labels;
+  }
+
+  /// Every pair of a reaction on \p Base fired once: replayed or run.
+  static void expectEachPairFiredOnce(const Solver &S, VarId Base,
+                                      uint64_t Replayed) {
+    uint64_t Pairs = S.pointsTo(S.varInstances(Base).front()).size();
+    EXPECT_EQ(Replayed + S.stats().ReactionsRun, Pairs);
   }
 };
 
@@ -610,19 +622,21 @@ TEST_F(SolverReplay, PresentValueFiresAtAddReaction) {
   MethodBuilder Get = P.addMethod(A, "get", {}, Object);
   VarId PV = Get.local("p", Pay);
   Get.alloc(PV, Pay).ret(PV);
-  // x = new A; r = x.get();
+  // x = new A; r = x.get();  -- x holds its object when the call's
+  // reaction is added.
   MethodBuilder Main = P.addMethod(A, "main", {}, TypeId::invalid(), true);
   VarId X = Main.local("x", A), R = Main.local("r", Object);
   Main.alloc(X, A).virtualCall(R, X, "get", {}, {});
 
   auto S = analyze(Main.id(), 0, 0);
-  EXPECT_EQ(orderedSitesOf(*S, X), std::vector<std::string>{"A.main/new0"});
-  EXPECT_EQ(orderedSitesOf(*S, R), std::vector<std::string>{"A.get/new0"});
+  EXPECT_EQ(exactSitesOf(*S, X), std::vector<std::string>{"A.main/new0"});
+  EXPECT_EQ(exactSitesOf(*S, R), std::vector<std::string>{"A.get/new0"});
   EXPECT_EQ(S->callGraphEdges().size(), 1u);
   EXPECT_EQ(S->stats().ReactionsRun, 0u);
+  expectEachPairFiredOnce(*S, X, /*Replayed=*/1);
 }
 
-TEST_F(SolverReplay, LaterValueFiresInPhase) {
+TEST_F(SolverReplay, LaterValueFiresAtTheBarrier) {
   TypeId A = P.addClass("A", TypeKind::Class, Object);
   TypeId Pay = P.addClass("Pay", TypeKind::Class, Object);
   MethodBuilder Get = P.addMethod(A, "get", {}, Object);
@@ -634,16 +648,16 @@ TEST_F(SolverReplay, LaterValueFiresInPhase) {
   Main.virtualCall(R, X, "get", {}, {}).alloc(X, A);
 
   auto S = analyze(Main.id(), 0, 0);
-  EXPECT_EQ(orderedSitesOf(*S, X), std::vector<std::string>{"A.main/new1"});
-  EXPECT_EQ(orderedSitesOf(*S, R), std::vector<std::string>{"A.get/new0"});
+  EXPECT_EQ(exactSitesOf(*S, X), std::vector<std::string>{"A.main/new1"});
+  EXPECT_EQ(exactSitesOf(*S, R), std::vector<std::string>{"A.get/new0"});
   EXPECT_EQ(S->callGraphEdges().size(), 1u);
-  EXPECT_EQ(S->stats().ReactionsRun, 1u);
+  expectEachPairFiredOnce(*S, X, /*Replayed=*/0);
 }
 
-/// The replay of `x = x.next()` returns a new object into `x` itself, at
-/// the position the reaction's replay stopped at; only the phase can fire
-/// the reaction for it.
-TEST_F(SolverReplay, ValueArrivingDuringReplayFiresInPhase) {
+/// The replay of `x = x.next()` wires a callee that returns new objects
+/// into `x` itself. They land at or past the position the replay stopped
+/// at, so only the barrier fires the reaction for them.
+TEST_F(SolverReplay, ValueArrivingAfterReplayFiresAtTheBarrier) {
   TypeId A = P.addClass("A", TypeKind::Class, Object);
   TypeId B = P.addClass("B", TypeKind::Class, A);
   TypeId C = P.addClass("C", TypeKind::Class, A);
@@ -661,16 +675,45 @@ TEST_F(SolverReplay, ValueArrivingDuringReplayFiresInPhase) {
   Main.alloc(X, A).virtualCall(X, X, "next", {}, {});
 
   auto S = analyze(Main.id(), 0, 0);
-  EXPECT_EQ(orderedSitesOf(*S, X),
+  EXPECT_EQ(exactSitesOf(*S, X),
             (std::vector<std::string>{"A.main/new0", "A.next/new0",
                                       "B.next/new0"}));
-  EXPECT_EQ(orderedSitesOf(*S, NextA.thisVar()),
+  EXPECT_EQ(exactSitesOf(*S, NextA.thisVar()),
             (std::vector<std::string>{"A.main/new0", "B.next/new0"}));
-  EXPECT_EQ(orderedSitesOf(*S, NextB.thisVar()),
+  EXPECT_EQ(exactSitesOf(*S, NextB.thisVar()),
             std::vector<std::string>{"A.next/new0"});
   EXPECT_EQ(S->callGraphEdges().size(), 2u);
-  // The A.next object at position 1 and the B.next one at position 2.
+  // The A.main object at the replay; the A.next and B.next ones later.
   EXPECT_EQ(S->stats().ReactionsRun, 2u);
+  expectEachPairFiredOnce(*S, X, /*Replayed=*/1);
+}
+
+/// A source past the scan limit replays through a new unfiltered edge as
+/// one word-wise union, appending in id order; its visit then sends the
+/// same values again, and they are refused.
+TEST_F(SolverReplay, WideSourceReplaysWordByWord) {
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  MethodBuilder Main = P.addMethod(A, "main", {}, TypeId::invalid(), true);
+  VarId X = Main.local("x", A), Y = Main.local("y", A), Z = Main.local("z", A);
+  const uint32_t Objects = InsertOrderSet::ScanLimit + 4;
+  for (uint32_t I = 0; I != Objects; ++I)
+    Main.alloc(X, A);
+  // y = x;  -- added after x holds every object.  z = (A) y;  -- filtered.
+  Main.move(Y, X).cast(Z, A, Y);
+
+  auto S = analyze(Main.id(), 0, 0);
+  const InsertOrderSet &XSet = S->pointsTo(S->varInstances(X).front());
+  const InsertOrderSet &YSet = S->pointsTo(S->varInstances(Y).front());
+  const InsertOrderSet &ZSet = S->pointsTo(S->varInstances(Z).front());
+  EXPECT_EQ(XSet.size(), Objects);
+  EXPECT_TRUE(std::equal(XSet.begin(), XSet.end(), YSet.begin(), YSet.end()));
+  EXPECT_TRUE(std::is_sorted(YSet.begin(), YSet.end()));
+  EXPECT_EQ(ZSet.size(), Objects);
+  EXPECT_EQ(exactSitesOf(*S, Z), exactSitesOf(*S, X));
+  // The move's replay; x's visit over the move; y's visit over nothing
+  // wide (the cast goes value by value).
+  EXPECT_EQ(S->stats().WordUnions, 2u);
+  EXPECT_EQ(S->stats().WorkItems, 3 * Objects);
 }
 
 /// Property sweep: deeper contexts are never less precise on this family of

@@ -202,6 +202,100 @@ TEST(InsertOrderSetTest, RandomizedDifferentialAgainstHashSet) {
   }
 }
 
+/// A bitset over \p Ids, in `insertBits`' layout.
+std::vector<uint64_t> bitsOf(std::initializer_list<uint32_t> Ids,
+                             size_t Words) {
+  std::vector<uint64_t> Bits(Words, 0);
+  for (uint32_t Id : Ids)
+    Bits[Id / 64] |= uint64_t(1) << (Id % 64);
+  return Bits;
+}
+
+/// Every id below \p Limit answers `contains` as \p Members says.
+void expectMembers(const InsertOrderSet &Set,
+                   const std::vector<uint32_t> &Members, uint32_t Limit) {
+  EXPECT_EQ(Set.size(), Members.size());
+  for (uint32_t Id = 0; Id != Limit; ++Id)
+    EXPECT_EQ(Set.contains(Id),
+              std::find(Members.begin(), Members.end(), Id) != Members.end())
+        << Id;
+}
+
+TEST(InsertOrderSetTest, InsertBitsAppendsNewIdsInIdOrder) {
+  InsertOrderSet Set;
+  for (uint32_t V : {70u, 3u, 130u})
+    Set.insert(V);
+  EXPECT_TRUE(Set.insertBits(bitsOf({200, 3, 65, 130, 1}, 4)));
+  std::vector<uint32_t> Seen(Set.begin(), Set.end());
+  EXPECT_EQ(Seen, (std::vector<uint32_t>{70, 3, 130, 1, 65, 200}));
+  expectMembers(Set, Seen, 300);
+  // Plain inserts after a union keep the set exact.
+  EXPECT_FALSE(Set.insert(65));
+  EXPECT_TRUE(Set.insert(4));
+  Seen.push_back(4);
+  expectMembers(Set, Seen, 300);
+}
+
+TEST(InsertOrderSetTest, InsertBitsThatAddsNothingReturnsFalse) {
+  InsertOrderSet Set;
+  for (uint32_t V : {5u, 64u, 9u})
+    Set.insert(V);
+  EXPECT_FALSE(Set.insertBits(bitsOf({9, 64}, 2)));
+  EXPECT_FALSE(Set.insertBits(std::vector<uint64_t>(3, 0)));
+  EXPECT_FALSE(Set.insertBits({}));
+  std::vector<uint32_t> Seen(Set.begin(), Set.end());
+  EXPECT_EQ(Seen, (std::vector<uint32_t>{5, 64, 9}));
+}
+
+/// A set within the scan limit records its members in its bitset first, so
+/// ids it holds are refused and the union may carry it past the limit.
+TEST(InsertOrderSetTest, InsertBitsCarriesASmallSetPastTheScanLimit) {
+  InsertOrderSet Set;
+  std::vector<uint32_t> Members;
+  for (uint32_t V = 0; V != InsertOrderSet::ScanLimit - 2; ++V) {
+    Set.insert(3 * V);
+    Members.push_back(3 * V);
+  }
+  // Scan-sized inserts hold no bitset.
+  const size_t BytesBefore = Set.bytes();
+  EXPECT_TRUE(Set.bits().empty());
+  // A third of the incoming ids are members already.
+  std::vector<uint64_t> Bits(2, 0);
+  for (uint32_t V = 0; V != 12; ++V)
+    Bits[(2 * V) / 64] |= uint64_t(1) << ((2 * V) % 64);
+  EXPECT_TRUE(Set.insertBits(Bits));
+  for (uint32_t V = 0; V != 12; ++V)
+    if ((2 * V) % 3 != 0)
+      Members.push_back(2 * V);
+  EXPECT_GT(Set.size(), InsertOrderSet::ScanLimit);
+  EXPECT_TRUE(std::equal(Set.begin(), Set.end(), Members.begin(),
+                         Members.end()));
+  expectMembers(Set, Members, 128);
+  // The bitset reaches the largest member's word, and `bytes()` counts it.
+  EXPECT_EQ(Set.bits().size(), 1u);
+  EXPECT_GE(Set.bytes(), Set.size() * sizeof(uint32_t) + sizeof(uint64_t));
+  EXPECT_GT(Set.bytes(), BytesBefore);
+}
+
+/// The incoming bitset may be longer than the set's own; the set's grows
+/// only to the last word that adds an id.
+TEST(InsertOrderSetTest, InsertBitsGrowsAShorterBitset) {
+  InsertOrderSet Set;
+  for (uint32_t V = 0; V != 2 * InsertOrderSet::ScanLimit; ++V)
+    Set.insert(V);
+  ASSERT_EQ(Set.bits().size(), 1u);
+  std::vector<uint64_t> Bits = bitsOf({5, 300, 301}, 8);
+  EXPECT_TRUE(Set.insertBits(Bits));
+  EXPECT_EQ(Set.bits().size(), 5u);
+  EXPECT_EQ(Set[Set.size() - 2], 300u);
+  EXPECT_EQ(Set[Set.size() - 1], 301u);
+  std::vector<uint32_t> Members(Set.begin(), Set.end());
+  expectMembers(Set, Members, 512);
+  EXPECT_GE(Set.bytes(), Set.size() * sizeof(uint32_t) +
+                             Set.bits().size() * sizeof(uint64_t));
+  EXPECT_FALSE(Set.insertBits(Bits));
+}
+
 TEST(HashingTest, PackPairIsInjectiveOnHalves) {
   EXPECT_NE(packPair(1, 2), packPair(2, 1));
   EXPECT_EQ(packPair(3, 4), packPair(3, 4));
