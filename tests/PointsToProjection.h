@@ -137,24 +137,33 @@ inline PointsToProjection projectSolver(const pointsto::Solver &S,
   return Out;
 }
 
-/// FNV-1a over the sorted var-points-to and call-graph tuples: equal for
-/// two solvers that reach the same context-sensitive results, whatever
-/// order they filled their sets in.
-inline uint64_t orderFreeHash(const PointsToProjection &Proj) {
-  uint64_t Hash = 0xcbf29ce484222325ULL;
-  auto mix = [&Hash](uint32_t Word) {
-    for (int Byte = 0; Byte != 4; ++Byte) {
+/// FNV-1a over 64-bit words, byte by byte.
+class OrderHash {
+public:
+  void mix(uint64_t Word) {
+    for (int Byte = 0; Byte != 8; ++Byte) {
       Hash ^= (Word >> (8 * Byte)) & 0xFF;
       Hash *= 0x100000001b3ULL;
     }
-  };
+  }
+  uint64_t value() const { return Hash; }
+
+private:
+  uint64_t Hash = 0xcbf29ce484222325ULL;
+};
+
+/// The hash of the sorted var-points-to and call-graph tuples: equal for
+/// two solvers that reach the same context-sensitive results, whatever
+/// order they filled their sets in.
+inline uint64_t orderFreeHash(const PointsToProjection &Proj) {
+  OrderHash H;
   for (const VarPointsToTuple &T : Proj.VarPointsTo)
     for (uint32_t Word : T)
-      mix(Word);
+      H.mix(Word);
   for (const CallEdgeTuple &T : Proj.CallGraph)
     for (uint32_t Word : T)
-      mix(Word);
-  return Hash;
+      H.mix(Word);
+  return H.value();
 }
 
 } // namespace test

@@ -292,20 +292,20 @@ void emitFacts(const Program &P, MethodId Main, datalog::Database &DB) {
 }
 
 /// The oracle's tuples, decoded to the projection's columns.
-test::PointsToProjection evaluateRules(const Program &P, MethodId Main,
+test::PointsToProjection evaluateRules(test::GeneratedClient &Client,
                                        bool TwoObjH) {
-  SymbolTable &Symbols = const_cast<SymbolTable &>(P.symbols());
+  const Program &P = *Client.P;
+  SymbolTable &Symbols = Client.Symbols;
   datalog::Database DB(Symbols);
   datalog::RuleSet Rules;
-  for (const char *Text : {CommonRules, TwoObjH ? TwoObjHContexts
-                                                : CiContexts}) {
-    // Base relations first, so the rules may read them.
-    facts::declareSchema(DB);
+  facts::declareSchema(DB); // the rules read the extractor's relations
+  for (const char *Text :
+       {CommonRules, TwoObjH ? TwoObjHContexts : CiContexts}) {
     datalog::ParserResult Parsed =
         datalog::parseRules(DB, Rules, Text, "pointsto-oracle.dl");
     EXPECT_TRUE(Parsed.Ok) << Parsed.Error;
   }
-  emitFacts(P, Main, DB);
+  emitFacts(P, Client.Main, DB);
   datalog::Evaluator Eval(DB, Rules);
   EXPECT_EQ(Eval.validate(), "");
   Eval.run();
@@ -381,7 +381,7 @@ SeedResult checkSeed(uint32_t Seed, bool SoundModulo, bool TwoObjH,
   bool Fits = false;
   test::PointsToProjection Got = test::projectSolver(S, Fits);
   EXPECT_TRUE(Fits) << "a context deeper than the oracle's columns";
-  test::PointsToProjection Want = evaluateRules(P, Client->Main, TwoObjH);
+  test::PointsToProjection Want = evaluateRules(*Client, TwoObjH);
 
   EXPECT_EQ(Got.VarPointsTo, Want.VarPointsTo)
       << "solver only: " << missing(Got.VarPointsTo, Want.VarPointsTo)

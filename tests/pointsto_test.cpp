@@ -582,10 +582,6 @@ TEST_F(SolverTest, ForeignVariableSharesItsOwnersNode) {
   EXPECT_EQ(sitesOf(*S, R), std::vector<std::string>{"A.main/new0"});
 }
 
-/// A reaction fires once per object of its base's set: `addReaction` fires
-/// it for the objects already there, and the round's phase for every later
-/// one, including those the replay itself adds. `ReactionsRun` counts the
-/// phase's firings only.
 /// A reaction fires once per (reaction, value) pair: `addReaction` fires
 /// it for the values its base holds then (the replay), and the base's
 /// visits stage it for the rest, which the barrier counts in
