@@ -11,8 +11,8 @@
 // mod-2objH removes most of it (average ~6x total speedup over 2objH).
 //
 // The matrix runs through a shared `core::AnalysisSession` (cached
-// snapshots + job-pool fan-out). Speedups compare per-cell solve times,
-// which are unaffected by which worker ran the cell.
+// snapshots) at one job, so no cell's time includes contention with
+// another's. Speedups compare per-cell solve times.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +34,9 @@ int main() {
   std::vector<Application> Apps = synth::allBenchmarks();
   std::vector<AnalysisKind> Kinds = {AnalysisKind::CI, AnalysisKind::TwoObjH,
                                      AnalysisKind::Mod2ObjH};
-  AnalysisSession Session;
+  SessionOptions SO;
+  SO.Jobs = 1;
+  AnalysisSession Session(SO);
   std::vector<AnalysisResult> Results = Session.runMatrix(Apps, Kinds);
 
   double SpeedupSum = 0;

@@ -110,7 +110,7 @@ AnalysisResult jackee::core::runAnalysis(const Application &App,
                                          AnalysisKind Kind,
                                          frameworks::MockPolicyOptions
                                              MockOptions,
-                                         const PipelineOptions &Options) {
+                                         const EngineOptions &Options) {
   SessionOptions SO;
   static_cast<EngineOptions &>(SO) = Options;
   SO.Jobs = 1;

@@ -136,7 +136,7 @@ struct Metrics {
   // Solver effort (for ablations and sanity checks).
   uint64_t SolverWorkItems = 0;
   uint64_t SolverEdges = 0;
-  uint64_t SolverRounds = 0;    ///< staged drain rounds
+  uint64_t SolverRounds = 0;    ///< queue generations of the drains
 
   // Provenance recording (zero unless enabled via
   // `SessionOptions::Provenance` / `JACKEE_PROVENANCE`).
@@ -228,9 +228,6 @@ struct EngineOptions {
   bool Profile = false;
 };
 
-/// Historical name of the one-shot wrapper's knobs; same struct.
-using PipelineOptions = EngineOptions;
-
 /// What can go wrong assembling and running an analysis. These used to be
 /// `assert`s inside the pipeline — silent wrong results in Release builds;
 /// now every failure mode is a first-class, testable outcome.
@@ -301,7 +298,7 @@ private:
 /// \param MockOptions tuning for the mock policy (ablation benches vary it).
 AnalysisResult runAnalysis(const Application &App, AnalysisKind Kind,
                            frameworks::MockPolicyOptions MockOptions = {},
-                           const PipelineOptions &Options = {});
+                           const EngineOptions &Options = {});
 
 } // namespace core
 } // namespace jackee

@@ -160,7 +160,6 @@ public:
   /// matches — independent of the join order, the estimate's ground
   /// truth).
   void setMetricsRegistry(observe::MetricsRegistry *R) { Registry = R; }
-  observe::MetricsRegistry *metricsRegistry() const { return Registry; }
 
   /// Turns on per-rule profiling (idempotent; there is no off switch — the
   /// profiler is per-cell and cells are created with it on or not at all).

@@ -147,10 +147,6 @@ struct Method {
   std::vector<VarId> Params;
   std::vector<Statement> Statements;
   std::vector<CatchClause> Catches;
-
-  bool isConstructor(const SymbolTable &Symbols) const {
-    return Symbols.text(Name) == "<init>";
-  }
 };
 
 /// A local variable (including `this` and formals).

@@ -49,7 +49,7 @@ NodeId Solver::newNode(NodeKind Kind, uint32_t A, uint32_t B) {
   PointsTo.emplace_back();
   Edges.emplace_back();
   Reactions.emplace_back();
-  Phased.push_back(0);
+  Visited.push_back(0);
   Queued.push_back(0);
   if (Kind == NodeKind::Var)
     VarNodes[A].push_back(N);
@@ -149,7 +149,7 @@ void Solver::addEdge(NodeId From, NodeId To, TypeId Filter) {
   Out.push_back({To, Filter});
   ++SolverStats.EdgesAdded;
   // Replay the source's set through the new edge: a large one whole, word
-  // by word, else the values visited so far. Its next visit sends the rest.
+  // by word, else its visited prefix. Its next visit sends the rest.
   const InsertOrderSet &Source = PointsTo[From.index()];
   if (!Filter.isValid() && Source.size() > InsertOrderSet::ScanLimit) {
     ++SolverStats.WordUnions;
@@ -157,22 +157,23 @@ void Solver::addEdge(NodeId From, NodeId To, TypeId Filter) {
       enqueue(To);
     return;
   }
-  for (uint32_t I = 0, E = Phased[From.index()]; I != E; ++I)
+  for (uint32_t I = 0, E = Visited[From.index()]; I != E; ++I)
     if (passesFilter(ValueId(Source[I]), Filter))
       propagate(To, ValueId(Source[I]));
 }
 
 void Solver::addReaction(Reaction::Kind Kind, const Statement &S,
                          CMethodId CM) {
+  // Replay the base's visited prefix; its next visit fires the rest.
   NodeId N = varNode(CM, S.Base);
-  const Reaction R{Kind, static_cast<uint32_t>(PointsTo[N.index()].size()),
-                   &S, CM};
+  const Reaction R{Kind, CM, &S};
   Reactions[N.index()].push_back(R);
-  for (uint32_t I = 0; I != R.ReplayedUpTo; ++I)
+  for (uint32_t I = 0, E = Visited[N.index()]; I != E; ++I)
     applyReaction(R, ValueId(PointsTo[N.index()][I]));
 }
 
 void Solver::applyReaction(const Reaction &R, ValueId V) {
+  ++SolverStats.ReactionsRun;
   const Statement &S = *R.Stmt;
   switch (R.RKind) {
   case Reaction::Kind::LoadBase:
@@ -355,13 +356,13 @@ void Solver::seedObjectField(ValueId Base, FieldId F, ValueId V) {
 }
 
 void Solver::visit(NodeId N) {
-  // Sending the delta only inserts and queues: the edges it walks change at
-  // the barrier, and a self-edge sends values the set holds.
+  // Sending the delta only inserts and queues, so no edge changes under
+  // the walk, and a self-edge sends values the set holds.
   const uint32_t NIdx = N.index();
-  const uint32_t Begin = Phased[NIdx];
+  const uint32_t Begin = Visited[NIdx];
   const uint32_t End = static_cast<uint32_t>(PointsTo[NIdx].size());
   Queued[NIdx] = 0;
-  Phased[NIdx] = End;
+  Visited[NIdx] = End;
   SolverStats.WorkItems += End - Begin;
   const InsertOrderSet &Set = PointsTo[NIdx];
 
@@ -385,35 +386,29 @@ void Solver::visit(NodeId N) {
       if (passesFilter(ValueId(Set[I]), E.Filter))
         propagate(E.Target, ValueId(Set[I]));
   }
-  if (!Reactions[NIdx].empty() || Nodes[NIdx].Kind == NodeKind::CatchDispatch)
-    Staged.push_back({N, Begin, End});
+
+  // Fire the delta's reactions, then route a catch node's values. Firing
+  // grows every table (`wireCall`, `processBody`), so each is re-indexed
+  // and each reaction copied. A reaction added meanwhile has replayed the
+  // whole delta in `addReaction`, so the loop stops at the count it began
+  // with.
+  for (size_t RI = 0, RE = Reactions[NIdx].size(); RI != RE; ++RI) {
+    const Reaction R = Reactions[NIdx][RI];
+    for (uint32_t I = Begin; I != End; ++I)
+      applyReaction(R, ValueId(PointsTo[NIdx][I]));
+  }
+  if (Nodes[NIdx].Kind == NodeKind::CatchDispatch)
+    for (uint32_t I = Begin; I != End; ++I)
+      dispatchCatch(CMethodId(Nodes[NIdx].A), ValueId(PointsTo[NIdx][I]));
 }
 
 void Solver::drainWorklist() {
   while (!Dirty.empty()) {
     ++SolverStats.Rounds;
-    std::swap(Visiting, Dirty); // nodes that grow meanwhile wait a round
+    std::swap(Visiting, Dirty); // nodes queued meanwhile wait a generation
     for (NodeId N : Visiting)
       visit(N);
     Visiting.clear();
-
-    // Barrier: fire each staged delta's reactions past `ReplayedUpTo` and
-    // route its catches. Firing grows every table (`wireCall`,
-    // `processBody`), so each is re-indexed and each reaction copied.
-    for (const StagedDelta &D : Staged) {
-      const uint32_t NIdx = D.N.index();
-      for (size_t RI = 0; RI != Reactions[NIdx].size(); ++RI) {
-        const Reaction R = Reactions[NIdx][RI];
-        for (uint32_t I = std::max(D.Begin, R.ReplayedUpTo); I < D.End; ++I) {
-          ++SolverStats.ReactionsRun;
-          applyReaction(R, ValueId(PointsTo[NIdx][I]));
-        }
-      }
-      if (Nodes[NIdx].Kind == NodeKind::CatchDispatch)
-        for (uint32_t I = D.Begin; I != D.End; ++I)
-          dispatchCatch(CMethodId(Nodes[NIdx].A), ValueId(PointsTo[NIdx][I]));
-    }
-    Staged.clear();
   }
 }
 
@@ -462,7 +457,7 @@ std::vector<AllocSiteId> Solver::varPointsToSites(VarId Var) const {
     for (uint32_t Raw : PointsTo[N.index()])
       Result.push_back(Values[Raw].Site);
   // Canonical order: equal site sets compare equal even when propagation
-  // reached them along different round schedules.
+  // reached them along different schedules.
   std::sort(Result.begin(), Result.end());
   Result.erase(std::unique(Result.begin(), Result.end()), Result.end());
   return Result;

@@ -29,11 +29,11 @@
 /// precision (Section 4 of the paper): the receiver is an internal TreeNode
 /// allocation, so the context no longer distinguishes the map's clients.
 ///
-/// The worklist drain runs in *rounds* (DESIGN.md §11) over one queue of
-/// nodes whose sets grew. A round visits each node queued at its start and
-/// sends its delta, the values gained since its last visit, along each
-/// out-edge once (word-wise when wide); a barrier then fires the deltas'
-/// reactions and catch dispatches (call wiring, body processing). Every
+/// The worklist drain (DESIGN.md §11) visits the nodes whose sets grew, in
+/// queue order. A visit is the solver's one step: it sends the node's
+/// delta, the values gained since its last visit, along each out-edge once
+/// (word-wise when wide), then fires the node's reactions and routes its
+/// catches for the same delta (call wiring, body processing). Every
 /// schedule reaches the same least fixpoint, so no result depends on the
 /// visit order; set insertion orders and the call-graph order do.
 ///
@@ -284,23 +284,10 @@ private:
       SpecialCall,   ///< fixed target, receiver-contextualized
     };
     Kind RKind;
-    /// The base set's size when the reaction was added. `addReaction`
-    /// fired it for the objects before that position; the base's visits
-    /// stage it for the rest.
-    uint32_t ReplayedUpTo;
-    const ir::Statement *Stmt;
     CMethodId CallerCM; ///< the statement's (method, context)
+    const ir::Statement *Stmt;
   };
-  static_assert(sizeof(Reaction) == 24, "one per statement and context");
-
-  // --- Delta worklist (DESIGN.md §11) -------------------------------------
-
-  /// A visited delta, positions [Begin, End) of the node's set, whose
-  /// reaction firings and catch dispatches wait for the barrier.
-  struct StagedDelta {
-    NodeId N;
-    uint32_t Begin, End;
-  };
+  static_assert(sizeof(Reaction) == 16, "one per statement and context");
 
   /// Appends a node with empty per-node state.
   NodeId newNode(NodeKind Kind, uint32_t A, uint32_t B);
@@ -325,13 +312,14 @@ private:
 
   void addEdge(NodeId From, NodeId To, ir::TypeId Filter = ir::TypeId::invalid());
   /// Attaches a reaction of \p S's kind to \p S's base under \p CM and
-  /// fires it for the base's current set.
+  /// fires it for the base's visited prefix.
   void addReaction(Reaction::Kind Kind, const ir::Statement &S,
                    CMethodId CM);
   void applyReaction(const Reaction &R, ValueId V);
   void dispatchCatch(CMethodId CM, ValueId V);
 
-  /// Sends \p N's delta along its out-edges and stages it for the barrier.
+  /// Sends \p N's delta along its out-edges, then fires its reactions and
+  /// routes its catches for the same delta.
   void visit(NodeId N);
   void drainWorklist();
   void publishMetrics();
@@ -385,13 +373,13 @@ private:
   std::vector<uint32_t> VarSlot;         ///< by VarId, within its block
 
   // Per-node state (indexed by NodeId). An edge is unique by (Target,
-  // Filter) within its source's vector. `Phased` is the size of the node's
-  // set at its last visit, so its delta is the positions from there on; a
-  // node whose set grew past it is `Queued`.
+  // Filter) within its source's vector. Every out-edge and reaction of a
+  // node has seen its set's positions [0, `Visited`), so its delta is the
+  // positions from there on; a node whose set grew past it is `Queued`.
   std::vector<InsertOrderSet> PointsTo;
   std::vector<std::vector<Edge>> Edges;
   std::vector<std::vector<Reaction>> Reactions;
-  std::vector<uint32_t> Phased;
+  std::vector<uint32_t> Visited;
   std::vector<uint8_t> Queued;
 
   // Var -> its context instances.
@@ -410,9 +398,9 @@ private:
   std::vector<CastRecord> Casts;
   FlatMap CastIndex;
 
-  // The queue: nodes to visit in the next round, and the round under way.
+  // The queue, one generation at a time: nodes queued while `Visiting` is
+  // visited wait in `Dirty` for the next.
   std::vector<NodeId> Dirty, Visiting;
-  std::vector<StagedDelta> Staged;
   /// A wide delta's values as a bitset over value ids, rebuilt per visit.
   std::vector<uint64_t> DeltaBits;
 

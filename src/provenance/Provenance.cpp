@@ -28,7 +28,7 @@ bool ProvenanceRecorder::candidateLess(uint32_t RuleIdx,
   // contents and the content order is total.
   std::span<const uint32_t> OldRefs = refs(Old);
   size_t Pos = 0;
-  for (const datalog::Atom &A : Rules->rules()[RuleIdx].Body) {
+  for (const datalog::Atom &A : Rules.rules()[RuleIdx].Body) {
     if (A.Negated)
       continue;
     uint32_t Ref = Refs[Pos], OldRef = OldRefs[Pos];
@@ -133,7 +133,7 @@ ProvenanceRecorder::supportCone(std::span<const TupleRef> Seeds) const {
       const Record &R = Records[Slot];
       std::span<const uint32_t> Refs = refs(R);
       size_t Pos = 0;
-      for (const datalog::Atom &A : Rules->rules()[R.RuleIdx].Body) {
+      for (const datalog::Atom &A : Rules.rules()[R.RuleIdx].Body) {
         if (A.Negated)
           continue;
         Dependents[tupleKey(A.Rel.index(), Refs[Pos])].push_back({Rel, Idx});

@@ -102,12 +102,7 @@ public:
   /// relation-size watermarks at `beginEpoch`.
   ProvenanceRecorder(const datalog::Database &DB,
                      const datalog::RuleSet &Rules)
-      : DB(DB), Rules(&Rules) {}
-
-  /// Re-points the recorder at \p Rules — an equal copy of the rule set it
-  /// was created with (same rules, same indexes). For callers that outlive
-  /// the original set after the framework manager is gone.
-  void rebindRules(const datalog::RuleSet &NewRules) { Rules = &NewRules; }
+      : DB(DB), Rules(Rules) {}
 
   /// datalog::DerivationObserver: keeps the least candidate per tuple,
   /// ordered by rule index then witness contents. Serialized by the engine.
@@ -189,7 +184,7 @@ private:
                      const Record &Old) const;
 
   const datalog::Database &DB;
-  const datalog::RuleSet *Rules;
+  const datalog::RuleSet &Rules;
 
   /// Per relation id: record slot per tuple index (`None` = no record).
   std::vector<std::vector<uint32_t>> RecordOf;

@@ -128,6 +128,16 @@ TEST(PipelineRunTest, MainClassEntry) {
   EXPECT_LT(M.reachabilityPercent(), 100.0);
 }
 
+} // namespace
+
+/// Names a sweep case by its app, for gtest and ctest, which would otherwise
+/// print the enum's raw bytes. gtest finds it by argument-dependent lookup.
+namespace jackee::synth {
+void PrintTo(BenchApp App, std::ostream *OS) { *OS << profileFor(App).Name; }
+} // namespace jackee::synth
+
+namespace {
+
 /// Property sweep across all apps and analyses: structural invariants the
 /// paper's tables rely on.
 class AllAppsSweep : public ::testing::TestWithParam<synth::BenchApp> {};

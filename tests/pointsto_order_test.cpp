@@ -118,24 +118,24 @@ void expectPinned(const OrderPin &Pin) {
 TEST(PointsToOrderPin, WebGoat2ObjH) {
   expectPinned({synth::BenchApp::WebGoat, core::AnalysisKind::TwoObjH,
                 /*WorkItems=*/47307, /*Rounds=*/34, /*EdgesAdded=*/20309,
-                /*ReactionsRun=*/8025, /*WordUnions=*/4191,
+                /*ReactionsRun=*/10165, /*WordUnions=*/4596,
                 /*PluginRounds=*/2,
-                /*SetOrderHash=*/6120506572574467286ULL,
+                /*SetOrderHash=*/14940022478383949923ULL,
                 /*LargestVarSet=*/62, /*Nodes=*/9076,
-                /*NodeSetOrderHash=*/18129906952242428876ULL,
-                /*CallGraphOrderHash=*/17159659835633536043ULL,
+                /*NodeSetOrderHash=*/10052982307337289939ULL,
+                /*CallGraphOrderHash=*/4738566595506452866ULL,
                 /*ProjectionHash=*/15440131173758851716ULL});
 }
 
 TEST(PointsToOrderPin, PybbsMod2ObjH) {
   expectPinned({synth::BenchApp::Pybbs, core::AnalysisKind::Mod2ObjH,
                 /*WorkItems=*/23103, /*Rounds=*/31, /*EdgesAdded=*/12811,
-                /*ReactionsRun=*/4133, /*WordUnions=*/2511,
+                /*ReactionsRun=*/5488, /*WordUnions=*/2619,
                 /*PluginRounds=*/2,
-                /*SetOrderHash=*/6287321715742953932ULL,
+                /*SetOrderHash=*/121077305994833146ULL,
                 /*LargestVarSet=*/73, /*Nodes=*/4580,
-                /*NodeSetOrderHash=*/13506040737212080990ULL,
-                /*CallGraphOrderHash=*/17242588261539309519ULL,
+                /*NodeSetOrderHash=*/12318208341571731902ULL,
+                /*CallGraphOrderHash=*/16199926630752507764ULL,
                 /*ProjectionHash=*/8309810770669639723ULL});
 }
 
@@ -145,29 +145,28 @@ TEST(PointsToOrderPin, PybbsMod2ObjH) {
 /// resizes.
 TEST(PointsToOrderPin, DotCMSCi) {
   expectPinned({synth::BenchApp::DotCMS, core::AnalysisKind::CI,
-                /*WorkItems=*/405272, /*Rounds=*/31, /*EdgesAdded=*/32691,
-                /*ReactionsRun=*/47148, /*WordUnions=*/3930,
+                /*WorkItems=*/405272, /*Rounds=*/30, /*EdgesAdded=*/32691,
+                /*ReactionsRun=*/48369, /*WordUnions=*/3984,
                 /*PluginRounds=*/2,
-                /*SetOrderHash=*/6423829365812466073ULL,
+                /*SetOrderHash=*/11701121852576514080ULL,
                 /*LargestVarSet=*/442, /*Nodes=*/9650,
-                /*NodeSetOrderHash=*/10675618049112156020ULL,
-                /*CallGraphOrderHash=*/9621252397657792610ULL,
+                /*NodeSetOrderHash=*/7279863771801235249ULL,
+                /*CallGraphOrderHash=*/7757793334643509078ULL,
                 /*ProjectionHash=*/10456136415059500522ULL});
 }
 
-/// A mid-size object-sensitive cell whose reactions replay: many bodies
-/// allocate or move into a variable before the statement that adds a
-/// reaction on it, so the replay at `addReaction` and the base's visits
-/// share each reaction's values between them.
+/// A mid-size object-sensitive cell with many reactions on filled bases:
+/// many bodies allocate or move into a variable before the statement that
+/// adds a reaction on it, and the variable's first visit fires them.
 TEST(PointsToOrderPin, Shopizer2ObjH) {
   expectPinned({synth::BenchApp::Shopizer, core::AnalysisKind::TwoObjH,
-                /*WorkItems=*/386905, /*Rounds=*/35, /*EdgesAdded=*/113463,
-                /*ReactionsRun=*/38251, /*WordUnions=*/21272,
+                /*WorkItems=*/386905, /*Rounds=*/34, /*EdgesAdded=*/113463,
+                /*ReactionsRun=*/49425, /*WordUnions=*/24226,
                 /*PluginRounds=*/2,
-                /*SetOrderHash=*/6303929922771607202ULL,
+                /*SetOrderHash=*/1957593863751434167ULL,
                 /*LargestVarSet=*/222, /*Nodes=*/27310,
-                /*NodeSetOrderHash=*/4729638769017476507ULL,
-                /*CallGraphOrderHash=*/11235114849572202513ULL,
+                /*NodeSetOrderHash=*/1597343899225373700ULL,
+                /*CallGraphOrderHash=*/2641615603822633764ULL,
                 /*ProjectionHash=*/3881104533342868964ULL});
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -583,10 +584,9 @@ TEST_F(SolverTest, ForeignVariableSharesItsOwnersNode) {
 }
 
 /// A reaction fires once per (reaction, value) pair: `addReaction` fires
-/// it for the values its base holds then (the replay), and the base's
-/// visits stage it for the rest, which the barrier counts in
-/// `ReactionsRun`. Each scenario knows its replayed firings by
-/// construction, whatever the visit order.
+/// it for its base's visited prefix (the replay), and the base's later
+/// visits fire it for the rest. `ReactionsRun` counts both, so it equals
+/// the number of pairs whatever the visit order.
 class SolverReplay : public SolverTest {
 protected:
   /// The labels of \p V's objects, sorted; \p V has one context instance.
@@ -603,23 +603,27 @@ protected:
     return Labels;
   }
 
-  /// Every pair of a reaction on \p Base fired once: replayed or run.
-  static void expectEachPairFiredOnce(const Solver &S, VarId Base,
-                                      uint64_t Replayed) {
-    uint64_t Pairs = S.pointsTo(S.varInstances(Base).front()).size();
-    EXPECT_EQ(Replayed + S.stats().ReactionsRun, Pairs);
+  /// Every pair fired once: \p Bases lists each reaction's base variable,
+  /// one entry per reaction, and each has one context instance.
+  static void expectEachPairFiredOnce(const Solver &S,
+                                      std::initializer_list<VarId> Bases) {
+    uint64_t Pairs = 0;
+    for (VarId Base : Bases)
+      Pairs += S.pointsTo(S.varInstances(Base).front()).size();
+    EXPECT_EQ(S.stats().ReactionsRun, Pairs);
   }
 };
 
-TEST_F(SolverReplay, PresentValueFiresAtAddReaction) {
+/// `x` holds its object when the call's reaction is added, but has not
+/// been visited, so its first visit fires the reaction.
+TEST_F(SolverReplay, UnvisitedValueFiresAtTheVisit) {
   TypeId A = P.addClass("A", TypeKind::Class, Object);
   TypeId Pay = P.addClass("Pay", TypeKind::Class, Object);
   // Object get() { p = new Pay; return p; }
   MethodBuilder Get = P.addMethod(A, "get", {}, Object);
   VarId PV = Get.local("p", Pay);
   Get.alloc(PV, Pay).ret(PV);
-  // x = new A; r = x.get();  -- x holds its object when the call's
-  // reaction is added.
+  // x = new A; r = x.get();
   MethodBuilder Main = P.addMethod(A, "main", {}, TypeId::invalid(), true);
   VarId X = Main.local("x", A), R = Main.local("r", Object);
   Main.alloc(X, A).virtualCall(R, X, "get", {}, {});
@@ -628,11 +632,10 @@ TEST_F(SolverReplay, PresentValueFiresAtAddReaction) {
   EXPECT_EQ(exactSitesOf(*S, X), std::vector<std::string>{"A.main/new0"});
   EXPECT_EQ(exactSitesOf(*S, R), std::vector<std::string>{"A.get/new0"});
   EXPECT_EQ(S->callGraphEdges().size(), 1u);
-  EXPECT_EQ(S->stats().ReactionsRun, 0u);
-  expectEachPairFiredOnce(*S, X, /*Replayed=*/1);
+  expectEachPairFiredOnce(*S, {X});
 }
 
-TEST_F(SolverReplay, LaterValueFiresAtTheBarrier) {
+TEST_F(SolverReplay, LaterValueFiresAtTheVisit) {
   TypeId A = P.addClass("A", TypeKind::Class, Object);
   TypeId Pay = P.addClass("Pay", TypeKind::Class, Object);
   MethodBuilder Get = P.addMethod(A, "get", {}, Object);
@@ -647,13 +650,13 @@ TEST_F(SolverReplay, LaterValueFiresAtTheBarrier) {
   EXPECT_EQ(exactSitesOf(*S, X), std::vector<std::string>{"A.main/new1"});
   EXPECT_EQ(exactSitesOf(*S, R), std::vector<std::string>{"A.get/new0"});
   EXPECT_EQ(S->callGraphEdges().size(), 1u);
-  expectEachPairFiredOnce(*S, X, /*Replayed=*/0);
+  expectEachPairFiredOnce(*S, {X});
 }
 
-/// The replay of `x = x.next()` wires a callee that returns new objects
-/// into `x` itself. They land at or past the position the replay stopped
-/// at, so only the barrier fires the reaction for them.
-TEST_F(SolverReplay, ValueArrivingAfterReplayFiresAtTheBarrier) {
+/// Firing `x = x.next()` wires a callee that returns new objects into `x`
+/// itself. They land past the delta being fired, so `x`'s next visit
+/// fires the reaction for them.
+TEST_F(SolverReplay, ValueArrivingWhileFiringFiresAtTheNextVisit) {
   TypeId A = P.addClass("A", TypeKind::Class, Object);
   TypeId B = P.addClass("B", TypeKind::Class, A);
   TypeId C = P.addClass("C", TypeKind::Class, A);
@@ -679,9 +682,56 @@ TEST_F(SolverReplay, ValueArrivingAfterReplayFiresAtTheBarrier) {
   EXPECT_EQ(exactSitesOf(*S, NextB.thisVar()),
             std::vector<std::string>{"A.next/new0"});
   EXPECT_EQ(S->callGraphEdges().size(), 2u);
-  // The A.main object at the replay; the A.next and B.next ones later.
+  expectEachPairFiredOnce(*S, {X});
+}
+
+/// A statement that names another method's variable adds its reaction to
+/// that variable's node, which may have been visited already: `y.run()`
+/// fires after `x`'s visit, and `B.run`'s body adds `x.get()`, which
+/// replays `x`'s visited prefix. Nothing queues `x` again, so without the
+/// replay `get` would never be wired.
+TEST_F(SolverReplay, ReactionAddedAfterTheVisitReplaysTheVisitedPrefix) {
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  TypeId B = P.addClass("B", TypeKind::Class, Object);
+  TypeId Pay = P.addClass("Pay", TypeKind::Class, Object);
+  MethodBuilder Get = P.addMethod(A, "get", {}, Object);
+  VarId PV = Get.local("p", Pay);
+  Get.alloc(PV, Pay).ret(PV);
+  // x = new A; y = new B; y.run();
+  MethodBuilder Main = P.addMethod(A, "main", {}, TypeId::invalid(), true);
+  VarId X = Main.local("x", A), Y = Main.local("y", B);
+  // B.run() { r = x.get(); }  -- x is main's.
+  MethodBuilder Run = P.addMethod(B, "run", {}, TypeId::invalid());
+  VarId R = Run.local("r", Object);
+  Run.virtualCall(R, X, "get", {}, {});
+  Main.alloc(X, A).alloc(Y, B).virtualCall(VarId::invalid(), Y, "run", {},
+                                           {});
+
+  auto S = analyze(Main.id(), 0, 0);
+  EXPECT_EQ(exactSitesOf(*S, R), std::vector<std::string>{"A.get/new0"});
+  EXPECT_EQ(S->callGraphEdges().size(), 2u);
+  expectEachPairFiredOnce(*S, {Y, X});
+}
+
+/// A reaction added while its base's own delta fires: `x.foo()` fires on
+/// `x`'s first visit and wires `A.foo`, whose body adds `x.bar()` to main's
+/// `x`. That reaction replays the whole delta in `addReaction`, so the
+/// visit's firing loop must not fire it again.
+TEST_F(SolverReplay, ReactionAddedDuringTheVisitFiresOnce) {
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  MethodBuilder Main = P.addMethod(A, "main", {}, TypeId::invalid(), true);
+  VarId X = Main.local("x", A);
+  P.addMethod(A, "bar", {}, TypeId::invalid());
+  // A.foo() { x.bar(); }  -- x is main's.
+  MethodBuilder Foo = P.addMethod(A, "foo", {}, TypeId::invalid());
+  Foo.virtualCall(VarId::invalid(), X, "bar", {}, {});
+  // x = new A; x.foo();
+  Main.alloc(X, A).virtualCall(VarId::invalid(), X, "foo", {}, {});
+
+  auto S = analyze(Main.id(), 0, 0);
+  EXPECT_EQ(S->callGraphEdges().size(), 2u);
   EXPECT_EQ(S->stats().ReactionsRun, 2u);
-  expectEachPairFiredOnce(*S, X, /*Replayed=*/1);
+  expectEachPairFiredOnce(*S, {X, X});
 }
 
 /// A source past the scan limit replays through a new unfiltered edge as
