@@ -418,13 +418,12 @@ struct OracleCase {
   uint32_t FirstSeed, Seeds;
 };
 
-/// Names the case for gtest and ctest, which would otherwise print its raw
-/// bytes, padding included.
-void PrintTo(const OracleCase &C, std::ostream *OS) {
-  *OS << (C.TwoObjH ? "TwoObjH" : "Ci")
-      << (C.SoundModulo ? "SoundModulo" : "Original")
-      << (C.Scaled ? "Scaled" : "") << "Seeds" << C.FirstSeed << "To"
-      << C.FirstSeed + C.Seeds - 1;
+std::string caseName(const ::testing::TestParamInfo<OracleCase> &Info) {
+  const OracleCase &C = Info.param;
+  return std::string(C.TwoObjH ? "TwoObjH" : "Ci") +
+         (C.SoundModulo ? "SoundModulo" : "Original") +
+         (C.Scaled ? "Scaled" : "") + "Seeds" + std::to_string(C.FirstSeed) +
+         "To" + std::to_string(C.FirstSeed + C.Seeds - 1);
 }
 
 class PointsToOracle : public ::testing::TestWithParam<OracleCase> {};
@@ -466,6 +465,6 @@ std::vector<OracleCase> makeCases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PointsToOracle,
-                         ::testing::ValuesIn(makeCases()));
+                         ::testing::ValuesIn(makeCases()), caseName);
 
 } // namespace
