@@ -51,6 +51,8 @@ NodeId Solver::newNode(NodeKind Kind, uint32_t A, uint32_t B) {
   Reactions.emplace_back();
   Visited.push_back(0);
   Queued.push_back(0);
+  TopTarget.push_back(0);
+  IndexOf.push_back(0);
   if (Kind == NodeKind::Var)
     VarNodes[A].push_back(N);
   return N;
@@ -139,13 +141,36 @@ void Solver::propagate(NodeId N, ValueId V) {
 }
 
 void Solver::addEdge(NodeId From, NodeId To, TypeId Filter) {
-  // Dedup by scanning the source's own edges. A paper-grid pass scans 87
-  // edges per call on average (EXPERIMENTS.md, "Points-to set
-  // representation"); a per-node index was no faster and costs more to free.
-  std::vector<Edge> &Out = Edges[From.index()];
-  for (const Edge &E : Out)
-    if (E.Target == To && E.Filter == Filter)
+  // A target at or above the source's top is new. Below it, a source past
+  // `ScanLimit` edges looks an unfiltered target up in its index, built on
+  // the first such call; a smaller source or a cast scans its edges. Most
+  // paper-grid calls pass the top check (EXPERIMENTS.md, "Edge insertion
+  // without the scan").
+  const uint32_t Src = From.index(), Dst = To.index();
+  std::vector<Edge> &Out = Edges[Src];
+  if (Dst >= TopTarget[Src]) {
+    TopTarget[Src] = Dst + 1;
+    if (IndexOf[Src] && !Filter.isValid())
+      TargetIndex[IndexOf[Src] - 1].push_back(Dst); // stays sorted
+  } else if (!Filter.isValid() && Out.size() > InsertOrderSet::ScanLimit) {
+    if (!IndexOf[Src]) {
+      std::vector<uint32_t> &Built = TargetIndex.emplace_back();
+      for (const Edge &E : Out)
+        if (!E.Filter.isValid())
+          Built.push_back(E.Target.index());
+      std::sort(Built.begin(), Built.end());
+      IndexOf[Src] = static_cast<uint32_t>(TargetIndex.size());
+    }
+    std::vector<uint32_t> &Index = TargetIndex[IndexOf[Src] - 1];
+    auto It = std::lower_bound(Index.begin(), Index.end(), Dst);
+    if (It != Index.end() && *It == Dst)
       return;
+    Index.insert(It, Dst);
+  } else {
+    for (const Edge &E : Out)
+      if (E.Target == To && E.Filter == Filter)
+        return;
+  }
   Out.push_back({To, Filter});
   ++SolverStats.EdgesAdded;
   // Replay the source's set through the new edge: a large one whole, word

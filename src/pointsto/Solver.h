@@ -372,8 +372,7 @@ private:
   std::vector<uint32_t> MethodSlotCount; ///< by MethodId
   std::vector<uint32_t> VarSlot;         ///< by VarId, within its block
 
-  // Per-node state (indexed by NodeId). An edge is unique by (Target,
-  // Filter) within its source's vector. Every out-edge and reaction of a
+  // Per-node state (indexed by NodeId). Every out-edge and reaction of a
   // node has seen its set's positions [0, `Visited`), so its delta is the
   // positions from there on; a node whose set grew past it is `Queued`.
   std::vector<InsertOrderSet> PointsTo;
@@ -381,6 +380,14 @@ private:
   std::vector<std::vector<Reaction>> Reactions;
   std::vector<uint32_t> Visited;
   std::vector<uint8_t> Queued;
+  // An edge is unique by (Target, Filter) within its source's vector.
+  // `TopTarget` is one past a node's largest edge target, so a target at
+  // or above it is new. A node past `ScanLimit` edges that meets a lower
+  // unfiltered target gets a sorted index of its unfiltered targets,
+  // `TargetIndex[IndexOf - 1]`; `IndexOf` is 0 while it has none.
+  std::vector<uint32_t> TopTarget;
+  std::vector<uint32_t> IndexOf;
+  std::vector<std::vector<uint32_t>> TargetIndex;
 
   // Var -> its context instances.
   std::vector<std::vector<NodeId>> VarNodes;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <initializer_list>
 #include <memory>
+#include <string>
 #include <vector>
 
 using namespace jackee;
@@ -258,6 +259,46 @@ TEST_F(SolverTest, CastFiltersValues) {
         MayFail = true;
   EXPECT_TRUE(MayFail);
   (void)B;
+}
+
+/// An edge is unique by (target, filter). Most of `x`'s targets arrive
+/// below its largest one after it has 16 edges, so its sorted index of
+/// unfiltered targets settles them; a cast and a move to one target stay
+/// two edges, and a repeated edge adds nothing.
+TEST_F(SolverTest, EdgesAreUniqueByTargetAndFilter) {
+  TypeId A = P.addClass("A", TypeKind::Class, Object);
+  TypeId B = P.addClass("B", TypeKind::Class, A);
+  TypeId C = P.addClass("C", TypeKind::Class, Object);
+  MethodBuilder Main = P.addMethod(A, "main", {}, TypeId::invalid(), true);
+  // w, y0 ... y39 each get an object first, so their node ids ascend.
+  VarId W = Main.local("w", Object);
+  Main.alloc(W, A);
+  std::vector<VarId> Ys;
+  for (int I = 0; I != 40; ++I) {
+    Ys.push_back(Main.local("y" + std::to_string(I), Object));
+    Main.alloc(Ys.back(), A);
+  }
+  VarId X = Main.local("x", Object), Z = Main.local("z", Object);
+  // x = new A; x = new B; w = (B) x;
+  Main.alloc(X, A).alloc(X, B).cast(W, B, X);
+  // y39 = x; ... y0 = x;  -- each target below the last, so from y23 on
+  // x's index (without the cast's w) takes them.
+  for (int I = 39; I >= 0; --I)
+    Main.move(Ys[I], X);
+  // z = new C; z = x; z = x;  -- z is the newest node, above x's top, so
+  // it joins the index, where the second move finds it.
+  Main.alloc(Z, C).move(Z, X).move(Z, X);
+  // y5 = x;  -- found in the index.  y7 = (A) x; twice  -- a cast beside
+  // the move, found by the scan the second time.  w = x;  -- a move beside
+  // the cast, which the index does not hold.
+  Main.move(Ys[5], X).cast(Ys[7], A, X).cast(Ys[7], A, X).move(W, X);
+
+  auto S = analyze(Main.id(), 0, 0);
+  EXPECT_EQ(S->stats().EdgesAdded, 1u + 40 + 1 + 1 + 1);
+  for (VarId Y : Ys)
+    EXPECT_EQ(siteCount(*S, Y), 3u);
+  EXPECT_EQ(siteCount(*S, W), 3u);
+  EXPECT_EQ(siteCount(*S, Z), 3u);
 }
 
 TEST_F(SolverTest, ExceptionCaughtByMatchingClause) {
