@@ -30,7 +30,7 @@ int main() {
               "(lower is better) ===\n\n");
   std::printf("%-12s %-10s %8s %8s %10s %7s %9s %7s %9s %8s\n", "benchmark",
               "analysis", "objs/var", "objs/app", "cg-edges", "methods",
-              "polyvcall", "/sites", "mayfail", "time(s)");
+              "polyvcall", "/sites", "mayfail", "time(ms)");
 
   std::vector<Application> Apps = synth::allBenchmarks();
   std::vector<AnalysisKind> Kinds = {AnalysisKind::CI, AnalysisKind::TwoObjH,
@@ -43,12 +43,13 @@ int main() {
   for (size_t I = 0; I != Apps.size(); ++I) {
     for (size_t K = 0; K != Kinds.size(); ++K) {
       Metrics M = Results[I * Kinds.size() + K].value();
-      std::printf("%-12s %-10s %8.1f %8.1f %10llu %7u %9u %7u %9u %8.2f\n",
+      std::printf("%-12s %-10s %8.1f %8.1f %10llu %7u %9u %7u %9u %8.1f\n",
                   M.App.c_str(), M.Analysis.c_str(), M.AvgObjsPerVar,
                   M.AvgObjsPerAppVar,
                   static_cast<unsigned long long>(M.CallGraphEdges),
                   M.ReachableMethodsTotal, M.AppPolyVCalls,
-                  M.AppVirtualCallSites, M.AppMayFailCasts, M.ElapsedSeconds);
+                  M.AppVirtualCallSites, M.AppMayFailCasts,
+                  1000.0 * M.ElapsedSeconds);
     }
     std::printf("\n");
   }
