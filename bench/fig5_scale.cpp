@@ -88,10 +88,17 @@ Cell runChild(const char *Self, BenchApp App, uint32_t Scale,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  if (Argc == 5 && std::strcmp(Argv[1], "--cell") == 0)
-    return runCell(static_cast<BenchApp>(std::atoi(Argv[2])),
-                   static_cast<uint32_t>(std::atoi(Argv[3])),
-                   static_cast<AnalysisKind>(std::atoi(Argv[4])));
+  if (Argc == 5 && std::strcmp(Argv[1], "--cell") == 0) {
+    int App = std::atoi(Argv[2]), Scale = std::atoi(Argv[3]),
+        Kind = std::atoi(Argv[4]);
+    if (App < 0 || App > static_cast<int>(BenchApp::WebGoat) || Scale < 1 ||
+        Kind < 0 || Kind > static_cast<int>(AnalysisKind::Mod2ObjH)) {
+      std::fprintf(stderr, "usage: fig5_scale [--cell APP SCALE KIND]\n");
+      return 2;
+    }
+    return runCell(static_cast<BenchApp>(App), static_cast<uint32_t>(Scale),
+                   static_cast<AnalysisKind>(Kind));
+  }
 
   std::printf("=== Figure 5 at scale: 2objH vs mod-2objH, one cell per "
               "process ===\n\n");

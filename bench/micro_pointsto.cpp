@@ -128,7 +128,8 @@ void BM_MapClientsSoundModulo(benchmark::State &State) {
 /// layers of copy/cast chains — the java.util pattern that dominates the
 /// paper's cost attribution (many variables each carrying a large
 /// points-to set). Designed so steady-state work is subset-edge
-/// propagation through the staged rounds.
+/// propagation: each visit sending its delta along the copy and cast
+/// edges.
 struct FanoutProgram {
   SymbolTable Symbols;
   std::unique_ptr<Program> P;

@@ -143,9 +143,9 @@ void Solver::propagate(NodeId N, ValueId V) {
 void Solver::addEdge(NodeId From, NodeId To, TypeId Filter) {
   // A target at or above the source's top is new. Below it, a source past
   // `ScanLimit` edges looks an unfiltered target up in its index, built on
-  // the first such call; a smaller source or a cast scans its edges. Most
-  // paper-grid calls pass the top check (EXPERIMENTS.md, "Edge insertion
-  // without the scan").
+  // the first such call, so a source whose targets only ascend never pays
+  // for one; casts and smaller sources scan (EXPERIMENTS.md, "Edge
+  // insertion without the scan").
   const uint32_t Src = From.index(), Dst = To.index();
   std::vector<Edge> &Out = Edges[Src];
   if (Dst >= TopTarget[Src]) {

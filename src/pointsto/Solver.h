@@ -381,10 +381,10 @@ private:
   std::vector<uint32_t> Visited;
   std::vector<uint8_t> Queued;
   // An edge is unique by (Target, Filter) within its source's vector.
-  // `TopTarget` is one past a node's largest edge target, so a target at
-  // or above it is new. A node past `ScanLimit` edges that meets a lower
-  // unfiltered target gets a sorted index of its unfiltered targets,
-  // `TargetIndex[IndexOf - 1]`; `IndexOf` is 0 while it has none.
+  // `TopTarget` is one past a node's largest edge target, 0 without edges.
+  // `IndexOf` is 1 + the slot in `TargetIndex` of the node's sorted
+  // unfiltered targets, or 0 while it has none. Casts never enter an
+  // index, which keys by target alone.
   std::vector<uint32_t> TopTarget;
   std::vector<uint32_t> IndexOf;
   std::vector<std::vector<uint32_t>> TargetIndex;
