@@ -42,13 +42,6 @@ struct SweepCase {
   uint32_t K, H;
 };
 
-/// Names the case for gtest and ctest, which would otherwise print its raw
-/// bytes, padding included.
-void PrintTo(const SweepCase &C, std::ostream *OS) {
-  *OS << "Seed" << C.Seed << (C.SoundModulo ? "SoundModulo" : "Original")
-      << "K" << C.K << "H" << C.H;
-}
-
 class RandomClientSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(RandomClientSweep, StoredTypesAreObserved) {
